@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .contracts import expand_clause, parse_contract
@@ -49,8 +50,17 @@ def _want_color() -> bool:
     return sys.stdout.isatty()
 
 
+def _read_source(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise AtomguardError(
+            f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {e.start})"
+        ) from None
+
+
 def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Violation], RunStats]:
-    program = parse_program(path.read_text(), filename=str(path))
+    program = parse_program(_read_source(path), filename=str(path))
     if config.dumps:
         _print_dumps(program, config, out)
     return verify_with_stats(
@@ -113,7 +123,9 @@ def _render_table(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="atomguard",
         description="Check atomic-execution contracts on module call sequences.",
@@ -136,9 +148,12 @@ def run(argv: list[str] | None = None) -> int:
     p_corpus = sub.add_parser("corpus", help="run bad/fixed program pairs")
     p_corpus.add_argument("dir", metavar="DIR")
     add_common(p_corpus)
+    return parser
 
+
+def run(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -224,7 +239,7 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
 
 
 def _corpus_violations(path: Path, config: Config) -> list[Violation]:
-    program = parse_program(path.read_text(), filename=str(path))
+    program = parse_program(_read_source(path), filename=str(path))
     violations, _ = verify_with_stats(
         program,
         class_scope=config.class_scope,

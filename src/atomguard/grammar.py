@@ -15,9 +15,12 @@ exactly the set of module call sequences the thread can perform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import AtomguardError
 from .frontend.cfg import Cfg, NodeKind, build_cfg
@@ -118,12 +121,13 @@ def _node_symbol(method: str, index: int) -> str:
 def _reachable_methods(
     program: Program, roots: list[str], scope: Optional[frozenset[str]]
 ) -> list[str]:
+    # Breadth-first from the sorted roots, callees in sorted order: this
+    # visit order fixes the order of the grammar's productions.
+    work = deque(sorted(set(roots)))
+    queued = set(work)
     seen: list[str] = []
-    work = sorted(roots)
     while work:
-        name = work.pop(0)
-        if name in seen:
-            continue
+        name = work.popleft()
         seen.append(name)
         m = program.client_methods[name]
         callees = set()
@@ -132,12 +136,41 @@ def _reachable_methods(
             if call is not None and call.receiver is None:
                 callees.add(call.method)
         for callee in sorted(callees):
-            if callee in seen or callee in work:
+            if callee in queued:
                 continue
             if scope is not None and callee not in scope:
                 continue
+            queued.add(callee)
             work.append(callee)
     return seen
+
+
+# id(method) -> (method, its Cfg) while `_shared_cfgs` is active; holding the
+# method keeps its id from being reused by another object.
+_CFGS: ContextVar[Optional[dict[int, tuple[MethodDecl, Cfg]]]] = ContextVar(
+    "atomguard_cfgs", default=None
+)
+
+
+@contextmanager
+def _shared_cfgs() -> Iterator[None]:
+    """Within the block, the grammar builders build each method's CFG once
+    and share it; the CFGs are dropped when the block ends."""
+    token = _CFGS.set({})
+    try:
+        yield
+    finally:
+        _CFGS.reset(token)
+
+
+def _method_cfg(method: MethodDecl) -> Cfg:
+    cache = _CFGS.get()
+    if cache is None:
+        return build_cfg(method)
+    hit = cache.get(id(method))
+    if hit is None:
+        hit = cache[id(method)] = (method, build_cfg(method))
+    return hit[1]
 
 
 def _resolve_module(program: Program, module) -> ClassDecl:
@@ -170,7 +203,7 @@ def _build(
 ) -> BehaviorGrammar:
     module_method_names = {m.name for m in module.methods}
     reach = _reachable_methods(program, [m.name for m in roots], scope)
-    cfgs: dict[str, Cfg] = {name: build_cfg(program.client_methods[name]) for name in reach}
+    cfgs = {name: _method_cfg(program.client_methods[name]) for name in reach}
 
     prods: list[Production] = []
     if start.startswith(SCOPE_START_PREFIX):
@@ -336,41 +369,63 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
 
     The language is unchanged; so is the method every remaining nonterminal
     belongs to, since only control-flow-node symbols are inlined.
+
+    One pass over the heads in sorted order; a symbol-use index finds the
+    rules to splice each inlined body into.  Inlining never changes how many
+    rules a head has, and a rule that refers to its own head keeps doing so,
+    so the heads that qualify when visited are exactly those that inlining
+    the smallest qualifying head first, over and over, would pick.
     """
-    prods = list(grammar.productions)
-    while True:
-        by_head: dict[str, list[Production]] = {}
-        for p in prods:
-            by_head.setdefault(p.head, []).append(p)
-        candidate = None
-        for head in sorted(by_head):
-            if head == grammar.start or not _is_inlinable_symbol(head):
+    prods = grammar.productions
+    counts = Counter(p.head for p in prods)
+    rule_of = {
+        p.head: i
+        for i, p in enumerate(prods)
+        if counts[p.head] == 1
+        and p.head != grammar.start
+        and _is_inlinable_symbol(p.head)
+    }
+    uses: dict[str, list[int]] = {}  # symbol -> rules whose body has it
+    for i, p in enumerate(prods):
+        for sym in p.body:
+            if sym in rule_of:
+                uses.setdefault(sym, []).append(i)
+    dead: set[int] = set()
+    edited: dict[int, tuple[list[str], list[Optional[CallSite]]]] = {}
+
+    for head in sorted(rule_of):
+        rule = rule_of[head]
+        body, body_sites = edited.get(rule) or (prods[rule].body, prods[rule].sites)
+        if head in body:
+            continue
+        dead.add(rule)
+        edited.pop(rule, None)
+        for user in uses.pop(head, ()):
+            if user in dead:
                 continue
-            rules = by_head[head]
-            if len(rules) == 1 and head not in rules[0].body:
-                candidate = rules[0]
-                break
-        if candidate is None:
-            break
-        replacement = candidate
-        next_prods: list[Production] = []
-        for p in prods:
-            if p is replacement:
-                continue
-            if replacement.head not in p.body:
-                next_prods.append(p)
-                continue
-            body: list[str] = []
-            sites: list[Optional[CallSite]] = []
-            for sym, site in zip(p.body, p.sites):
-                if sym == replacement.head:
-                    body.extend(replacement.body)
-                    sites.extend(replacement.sites)
-                else:
-                    body.append(sym)
-                    sites.append(site)
-            next_prods.append(Production(p.head, tuple(body), tuple(sites)))
-        prods = next_prods
+            if user not in edited:
+                edited[user] = (list(prods[user].body), list(prods[user].sites))
+            user_body, user_sites = edited[user]
+            try:
+                at = user_body.index(head)
+            except ValueError:
+                continue  # listed twice and already spliced
+            while True:
+                user_body[at : at + 1] = body
+                user_sites[at : at + 1] = body_sites
+                try:
+                    at = user_body.index(head, at + len(body))
+                except ValueError:
+                    break
+            for sym in body:
+                if sym in rule_of:
+                    uses.setdefault(sym, []).append(user)
+
+    prods = [
+        Production(p.head, tuple(edited[i][0]), tuple(edited[i][1])) if i in edited else p
+        for i, p in enumerate(prods)
+        if i not in dead
+    ]
 
     # drop rules not reachable from the start symbol
     by_head2: dict[str, list[Production]] = {}

@@ -26,6 +26,7 @@ from .grammar import (
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
     _reachable_methods,
+    _shared_cfgs,
     simplify_grammar,
     symbol_method,
 )
@@ -194,50 +195,59 @@ def verify_with_stats(
     units = _units(program, class_scope)
     pointsto_result = compute_pointsto(program) if points_to else None
 
+    # Every grammar is built and simplified before any search, so the CFGs
+    # the builders share are dropped before the searches' memory peak.
+    checks: list[tuple[list, str, Optional[str], BehaviorGrammar]] = []
+    with _shared_cfgs():
+        for mod in modules:
+            if contract is not None and module is not None:
+                mod_contract = contract
+            else:
+                mod_contract = parse_contract(
+                    mod.contract_text or "", {m.name for m in mod.methods}
+                )
+            if not mod_contract.clauses:
+                continue
+            expanded = [
+                (clause, expand_clause(clause, max_clause_len))
+                for clause in mod_contract.clauses
+            ]
+            for unit in units:
+                for site_label, grammar in _unit_grammars(
+                    program, mod, unit, points_to, pointsto_result
+                ):
+                    checks.append(
+                        (expanded, unit.label, site_label, simplify_grammar(grammar))
+                    )
+
     found: list[Violation] = []
-    for mod in modules:
-        if contract is not None and module is not None:
-            mod_contract = contract
-        else:
-            mod_contract = parse_contract(
-                mod.contract_text or "", {m.name for m in mod.methods}
-            )
-        if not mod_contract.clauses:
-            continue
-        expanded = [
-            (clause, expand_clause(clause, max_clause_len))
-            for clause in mod_contract.clauses
-        ]
-        for unit in units:
-            for site_label, grammar in _unit_grammars(
-                program, mod, unit, points_to, pointsto_result
-            ):
-                table = build_parse_table(simplify_grammar(grammar))
-                stats.grammars += 1
-                pstats = ParseStats()
-                for clause, words in expanded:
-                    for word in words:
-                        trees = parse_subword_until_lca(table, word.methods, pstats)
-                        for tree in trees:
-                            if word.is_parameterized and not check_unification(word, tree):
-                                continue
-                            method = symbol_method(tree.symbol)
-                            if method is None or method in ae:
-                                continue
-                            found.append(
-                                Violation(
-                                    clause=clause.text,
-                                    word=word.methods,
-                                    thread=unit.label,
-                                    site=site_label,
-                                    calls=tuple(tree_sites(tree)),
-                                    lca_symbol=tree.symbol,
-                                    lca_method=method,
-                                    suggestion=f"make {method} atomic",
-                                )
-                            )
-                stats.trees += pstats.trees
-                stats.branches += pstats.branches
+    for expanded, thread, site_label, grammar in checks:
+        table = build_parse_table(grammar)
+        stats.grammars += 1
+        pstats = ParseStats()
+        for clause, words in expanded:
+            for word in words:
+                trees = parse_subword_until_lca(table, word.methods, pstats)
+                for tree in trees:
+                    if word.is_parameterized and not check_unification(word, tree):
+                        continue
+                    method = symbol_method(tree.symbol)
+                    if method is None or method in ae:
+                        continue
+                    found.append(
+                        Violation(
+                            clause=clause.text,
+                            word=word.methods,
+                            thread=thread,
+                            site=site_label,
+                            calls=tuple(tree_sites(tree)),
+                            lca_symbol=tree.symbol,
+                            lca_method=method,
+                            suggestion=f"make {method} atomic",
+                        )
+                    )
+        stats.trees += pstats.trees
+        stats.branches += pstats.branches
 
     deduped: list[Violation] = []
     seen: set[tuple] = set()

@@ -4,7 +4,8 @@ Everything in this module recomputes expected results from first principles,
 without going through the grammar or parser pipelines under test: clause
 expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, and structural
-checks on parse trees.
+checks on parse trees.  It also keeps the original quadratic grammar
+simplification as the reference the linear one must reproduce.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from atomguard import BehaviorGrammar, ParseTree, Program
+from atomguard import BehaviorGrammar, ParseTree, Production, Program
 from atomguard.frontend.syntax import (
     Assign,
     Block,
@@ -100,6 +101,75 @@ def _consistent(g1, g2, mapping, prods2) -> bool:
         if image not in prods2:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Grammar simplification, one inlined symbol per full rescan
+
+
+def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
+    """Repeatedly inline the smallest eligible head, then prune and dedup.
+
+    A head is eligible when it is a control-flow-node symbol (not `@m`, not
+    `$start:`, not the start symbol) with exactly one rule that does not
+    mention it.  Every round regroups and rescans all productions.
+    """
+    prods = list(grammar.productions)
+    while True:
+        by_head: dict[str, list[Production]] = {}
+        for p in prods:
+            by_head.setdefault(p.head, []).append(p)
+        candidate = None
+        for head in sorted(by_head):
+            if head == grammar.start or head.startswith(("@", "$start:")):
+                continue
+            rules = by_head[head]
+            if len(rules) == 1 and head not in rules[0].body:
+                candidate = rules[0]
+                break
+        if candidate is None:
+            break
+        next_prods: list[Production] = []
+        for p in prods:
+            if p is candidate:
+                continue
+            if candidate.head not in p.body:
+                next_prods.append(p)
+                continue
+            body: list[str] = []
+            sites: list = []
+            for sym, site in zip(p.body, p.sites):
+                if sym == candidate.head:
+                    body.extend(candidate.body)
+                    sites.extend(candidate.sites)
+                else:
+                    body.append(sym)
+                    sites.append(site)
+            next_prods.append(Production(p.head, tuple(body), tuple(sites)))
+        prods = next_prods
+
+    by_head = {}
+    for p in prods:
+        by_head.setdefault(p.head, []).append(p)
+    reachable = {grammar.start}
+    work = [grammar.start]
+    while work:
+        sym = work.pop()
+        for p in by_head.get(sym, ()):
+            for s in p.body:
+                if s not in grammar.terminals and s not in reachable:
+                    reachable.add(s)
+                    work.append(s)
+    kept: dict[Production, None] = {}
+    for p in prods:
+        if p.head in reachable:
+            kept.setdefault(p)
+    return BehaviorGrammar(
+        start=grammar.start,
+        terminals=grammar.terminals,
+        productions=tuple(kept),
+        label=grammar.label,
+    )
 
 
 # ---------------------------------------------------------------------------

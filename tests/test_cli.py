@@ -71,6 +71,15 @@ def test_no_points_to_flag(capsys):
     assert "site:" not in out, "without refinement there is no site attribution"
 
 
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.mg"
+    bad.write_bytes(b'class M contract { "a b" } {\xff }\n')
+    assert run(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"atomguard: {bad}: not UTF-8 text (byte 0xff at offset 28)\n"
+
+
 def test_bad_usage_exits_two(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
@@ -158,6 +167,16 @@ def test_corpus_rejects_incomplete_pairs(tmp_path):
     (tmp_path / "stray.fixed.mg").write_text(dirty)
     code, text = run_corpus(str(tmp_path))
     assert code == 2 and "stray" in text
+
+
+def test_corpus_non_utf8_file_exits_two(tmp_path, capsys):
+    dirty = (PROGRAMS / "branching_client.mg").read_text()
+    (tmp_path / "pair.bad.mg").write_bytes(b"// \xe9\n" + dirty.encode())
+    (tmp_path / "pair.fixed.mg").write_text(dirty)
+    assert run(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("atomguard: pair: ") and "not UTF-8 text" in out
 
 
 def test_corpus_command_line(capsys):

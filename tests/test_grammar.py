@@ -5,8 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomguard import (
+    BehaviorGrammar,
+    CallSite,
+    Production,
     bounded_language,
     build_behavior_grammar,
     build_behavior_grammar_pointsto,
@@ -19,10 +24,10 @@ from atomguard import (
     simplify_grammar,
     symbol_method,
 )
-from conftest import load_program
+from conftest import CORPUS, PROGRAMS, load_program
 from generators import random_program
 from goldens import LOOP_BRANCH_GRAMMAR, RECURSIVE_PAIR_GRAMMAR
-from oracles import find_nonterminal_bijection
+from oracles import find_nonterminal_bijection, reference_simplify_grammar
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -174,6 +179,81 @@ def test_simplify_preserves_language_on_random_programs():
         assert bounded_language(simplify_grammar(grammar), 5) == bounded_language(
             grammar, 5
         )
+
+
+def every_grammar(prog):
+    """Plain, per-site and class-scope grammars of every module, with and
+    without each allocation site."""
+    result = compute_pointsto(prog)
+    sites = collect_allocation_sites(prog)
+    for module in prog.modules:
+        for entry in sorted(m.name for m in prog.client_methods.values() if m.is_thread):
+            yield build_behavior_grammar(prog, entry, module)
+            for site in sites:
+                yield build_behavior_grammar_pointsto(prog, entry, module, site, result)
+        for cls in prog.client_classes:
+            if cls.methods:
+                yield build_class_scope_grammar(prog, cls, module)
+                for site in sites:
+                    yield build_class_scope_grammar(
+                        prog, cls, module, site=site, pointsto=result
+                    )
+
+
+def assert_simplifies_like_reference(grammar):
+    got = simplify_grammar(grammar)
+    want = reference_simplify_grammar(grammar)
+    assert dump_grammar(got) == dump_grammar(want)
+    assert [p.sites for p in got.productions] == [p.sites for p in want.productions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_simplify_matches_reference_on_random_programs(seed):
+    text, _ = random_program(random.Random(seed))
+    prog = parse_program(text, f"seed{seed}.mg")
+    grammars = list(every_grammar(prog))
+    assert len(grammars) >= 4, "plain, per-site and class-scope, with and without site"
+    for grammar in grammars:
+        assert_simplifies_like_reference(grammar)
+
+
+def test_simplify_matches_reference_on_bundled_programs():
+    paths = sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))
+    count = 0
+    for path in paths:
+        for grammar in every_grammar(parse_program(path.read_text(), path.name)):
+            assert_simplifies_like_reference(grammar)
+            count += 1
+    assert count > 100
+
+
+def test_simplify_cycle_keeps_the_later_symbol():
+    # Inlining X (first in sorted order) turns Y's rule self-recursive, so Y
+    # stays; visiting Y first would have kept X instead.
+    grammar = parse_dump("Start: S\nS -> X\nX -> Y a\nY -> X b\n")
+    simplified = simplify_grammar(grammar)
+    assert dump_grammar(simplified) == "Start: S\nS -> Y a\nY -> Y a b\n"
+    assert dump_grammar(reference_simplify_grammar(grammar)) == dump_grammar(simplified)
+
+
+def test_simplify_splices_every_occurrence_with_its_sites():
+    def site(method, line):
+        return CallSite("n", method, "t.mg", line, "m", (), None)
+
+    a, b, c = site("a", 1), site("b", 2), site("c", 3)
+    grammar = BehaviorGrammar(
+        start="@f",
+        terminals=frozenset("abc"),
+        productions=(
+            Production("@f", ("n", "n", "c"), (None, None, c)),
+            Production("n", ("m", "b"), (None, b)),
+            Production("m", ("a",), (a,)),
+        ),
+    )
+    (rule,) = simplify_grammar(grammar).productions
+    assert rule.body == ("a", "b", "a", "b", "c")
+    assert rule.sites == (a, b, a, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
+
+import atomguard.grammar
 
 from atomguard import (
     AtomguardError,
@@ -118,6 +121,44 @@ def test_wildcards_always_unify():
     )
     violations = verify(parse_program(src, "t.mg"))
     assert [v.lca_method for v in violations] == ["run"]
+
+
+# ---------------------------------------------------------------------------
+# one CFG per method per check
+
+SITES_PROGRAM = (
+    'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
+    'class N contract { "c d" } {\n  void c() { }\n  void d() { }\n}\n'
+    "class P {\n"
+    "  thread void t1() { x = new M(); y = new N(); z = new M(); use(); }\n"
+    "  void use() { x.a(); y.c(); z.a(); x.b(); y.d(); z.b(); idle(); }\n"
+    "  void idle() { }\n"
+    "  void unused() { x.a(); }\n"
+    "}\n"
+    "class Q {\n"
+    "  thread void t2() { use(); z.b(); }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("class_scope", [False, True])
+def test_each_method_cfg_is_built_once_per_check(monkeypatch, class_scope):
+    built: Counter[str] = Counter()
+    original = atomguard.grammar.build_cfg
+
+    def counting(method):
+        built[method.name] += 1
+        return original(method)
+
+    monkeypatch.setattr(atomguard.grammar, "build_cfg", counting)
+    prog = parse_program(SITES_PROGRAM, "t.mg")
+    violations, stats = verify_with_stats(prog, class_scope=class_scope)
+    assert violations and stats.grammars > 4, "several modules, units and sites"
+    reachable = {"t1", "t2", "use", "idle"} | ({"unused"} if class_scope else set())
+    assert built == Counter(dict.fromkeys(reachable, 1))
+
+    verify_with_stats(prog, class_scope=class_scope)
+    assert built == Counter(dict.fromkeys(reachable, 2)), "no CFG outlives its check"
 
 
 # ---------------------------------------------------------------------------
