@@ -14,19 +14,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
 
-from .contracts import expand_clause, parse_contract
 from .errors import AtomguardError
 from .frontend.parser import parse_program
-from .frontend.syntax import Program
-from .glr import build_parse_table, dump_tree, parse_subword_until_lca
-from .grammar import dump_grammar, simplify_grammar
-from .verifier import RunStats, Violation, render_report, verify_with_stats
-from .verifier import _unit_grammars, _units  # reused for dump paths
-from .pointsto import compute_pointsto
+from .glr import dump_tree
+from .grammar import BehaviorGrammar, dump_grammar
+from .verifier import (
+    Check,
+    RunStats,
+    Violation,
+    classify_stage,
+    grammar_stage,
+    render_report,
+    search_stage,
+    simplify_stage,
+    verify_with_stats,
+)
 
 __all__ = ["Config", "run", "run_corpus", "main"]
 
@@ -61,49 +67,39 @@ def _read_source(path: Path) -> str:
 
 def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Violation], RunStats]:
     program = parse_program(_read_source(path), filename=str(path))
-    if config.dumps:
-        _print_dumps(program, config, out)
-    return verify_with_stats(
-        program,
-        class_scope=config.class_scope,
-        points_to=config.points_to,
-        max_clause_len=config.max_clause_len,
-    )
+    options = dict(class_scope=config.class_scope, points_to=config.points_to,
+                   max_clause_len=config.max_clause_len)
+    if not config.dumps:
+        return verify_with_stats(program, **options)
+    # The same stages as `verify_with_stats`, keeping each unsimplified
+    # grammar for `--dump-grammar` and every check for the other dumps.
+    tasks = list(grammar_stage(program, **options))
+    checks = list(search_stage(simplify_stage(tasks)))
+    for task, check in zip(tasks, checks):
+        _print_check(task.grammar, check, config.dumps, out)
+    return classify_stage(program, checks)
 
 
-def _print_dumps(program: Program, config: Config, out: list[str]) -> None:
-    pointsto_result = compute_pointsto(program) if config.points_to else None
-    units = _units(program, config.class_scope)
-    for mod in program.modules:
-        contract = parse_contract(mod.contract_text or "", {m.name for m in mod.methods})
-        for unit in units:
-            pairs = _unit_grammars(program, mod, unit, config.points_to, pointsto_result)
-            for site_label, grammar in pairs:
-                where = f"module {mod.name}, {unit.label}"
-                if site_label:
-                    where += f", site {site_label}"
-                if "grammar" in config.dumps:
-                    out.append(f"# grammar: {where}")
-                    out.append(dump_grammar(grammar).rstrip("\n"))
-                    out.append(f"# simplified: {where}")
-                    out.append(dump_grammar(simplify_grammar(grammar)).rstrip("\n"))
-                    out.append("")
-                table = build_parse_table(simplify_grammar(grammar))
-                if "table" in config.dumps:
-                    out.append(f"# parse table: {where}")
-                    out.append(_render_table(table))
-                if "trees" in config.dumps:
-                    for clause in contract.clauses:
-                        for word in expand_clause(clause, config.max_clause_len):
-                            trees = parse_subword_until_lca(table, word.methods)
-                            out.append(
-                                f"# trees: {where}, word '{' '.join(word.methods)}'"
-                                f" ({len(trees)} found)"
-                            )
-                            for i, tree in enumerate(trees, 1):
-                                out.append(f"tree {i}:")
-                                out.append(dump_tree(tree, table).rstrip("\n"))
-                            out.append("")
+def _print_check(raw: BehaviorGrammar, check: Check, dumps: set[str], out: list[str]) -> None:
+    where = f"module {check.task.module}, {check.task.unit}"
+    if check.task.site:
+        where += f", site {check.task.site}"
+    if "grammar" in dumps:
+        out.append(f"# grammar: {where}")
+        out.append(dump_grammar(raw).rstrip("\n"))
+        out.append(f"# simplified: {where}")
+        out.append(dump_grammar(check.task.grammar).rstrip("\n"))
+        out.append("")
+    if "table" in dumps:
+        out.append(f"# parse table: {where}")
+        out.append(_render_table(check.table))
+    if "trees" in dumps:
+        for _, word, trees in check.trees:
+            out.append(f"# trees: {where}, word '{' '.join(word.methods)}' ({len(trees)} found)")
+            for i, tree in enumerate(trees, 1):
+                out.append(f"tree {i}:")
+                out.append(dump_tree(tree, check.table).rstrip("\n"))
+            out.append("")
 
 
 def _render_table(table) -> str:
@@ -161,15 +157,10 @@ def run(argv: list[str] | None = None) -> int:
         class_scope=args.class_scope,
         points_to=not args.no_points_to,
         fmt=args.format,
+        dumps={d for d in ("grammar", "trees", "table") if getattr(args, f"dump_{d}")},
         max_clause_len=args.max_clause_len,
         color=_want_color(),
     )
-    if args.dump_grammar:
-        config.dumps.add("grammar")
-    if args.dump_trees:
-        config.dumps.add("trees")
-    if args.dump_table:
-        config.dumps.add("table")
 
     if args.command == "corpus":
         code, text = run_corpus(args.dir, config)
@@ -203,7 +194,7 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
     A pair passes when the bad program reports at least one violation and
     the fixed program reports none.
     """
-    config = config or Config()
+    quiet = replace(config or Config(), dumps=set())  # pairs print no dumps
     root = Path(directory)
     if not root.is_dir():
         return 2, f"atomguard: not a directory: {directory}\n"
@@ -219,8 +210,8 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
         if fixed is None:
             return 2, f"atomguard: {bad.name} has no {name}.fixed.mg counterpart\n"
         try:
-            bad_count = len(_corpus_violations(bad, config))
-            fixed_count = len(_corpus_violations(fixed, config))
+            bad_count = len(_analyze_file(bad, quiet, [])[0])
+            fixed_count = len(_analyze_file(fixed, quiet, [])[0])
         except (AtomguardError, OSError) as e:
             return 2, f"atomguard: {name}: {e}\n"
         ok = bad_count >= 1 and fixed_count == 0
@@ -236,17 +227,6 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
         summary += f" ({', '.join(failed)})"
     lines.append(summary)
     return (1 if failed else 0), "\n".join(lines) + "\n"
-
-
-def _corpus_violations(path: Path, config: Config) -> list[Violation]:
-    program = parse_program(_read_source(path), filename=str(path))
-    violations, _ = verify_with_stats(
-        program,
-        class_scope=config.class_scope,
-        points_to=config.points_to,
-        max_clause_len=config.max_clause_len,
-    )
-    return violations
 
 
 def main() -> None:

@@ -31,7 +31,6 @@ __all__ = [
     "parse_parameterized_atom",
     "expand_clause",
     "clause_to_text",
-    "overlapping_clause_pairs",
 ]
 
 WILDCARD = "_"
@@ -351,25 +350,3 @@ def expand_clause(clause: Clause, max_clause_len: int = 16) -> list[CallSequence
             out.append(CallSequence(atoms=w))
     return out
 
-
-def overlapping_clause_pairs(
-    contract: Contract, max_clause_len: int = 16
-) -> list[tuple[int, int, tuple[str, ...]]]:
-    """Clause pairs whose words can chain: one ends where the other begins.
-
-    Such pairs can hide longer interleavings that no single clause covers;
-    the result is advisory, listing (i, j, shared methods) with i ending on
-    the methods that start j.
-    """
-    expanded = [expand_clause(c, max_clause_len) for c in contract.clauses]
-    lasts = [{w.methods[-1] for w in words} for words in expanded]
-    firsts = [{w.methods[0] for w in words} for words in expanded]
-    pairs: list[tuple[int, int, tuple[str, ...]]] = []
-    for i in range(len(expanded)):
-        for j in range(len(expanded)):
-            if i == j:
-                continue
-            shared = lasts[i] & firsts[j]
-            if shared:
-                pairs.append((i, j, tuple(sorted(shared))))
-    return pairs

@@ -11,6 +11,10 @@ Grammar (informal):
 Calls may appear only as a whole statement, as the direct right-hand side
 of an assignment, or as the direct condition of `if`/`while`.  That keeps
 every call on its own control-flow node.
+
+Blocks, `if`/`while` bodies, expressions, call argument lists and unary
+operators nest at most MAX_NESTING levels, counted together (a method body
+is level 1); deeper input is a syntax error, not a recursion overflow.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ from .syntax import (
 
 __all__ = ["parse_program"]
 
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0  # open blocks, statement bodies, expressions, unary operators
 
     # -- token helpers ----------------------------------------------------
 
@@ -70,6 +77,12 @@ class _Parser:
             self.pos += 1
             return t
         return None
+
+    def nest(self) -> None:
+        """Open a nesting level, closed by `self.depth -= 1` (errors end the parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.accept(kind, text)
@@ -148,10 +161,12 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def block(self) -> Block:
+        self.nest()
         self.expect("punct", "{")
         stmts: list[Stmt] = []
         while not self.accept("punct", "}"):
             stmts.append(self.statement())
+        self.depth -= 1
         return Block(stmts)
 
     def statement(self) -> Stmt:
@@ -162,14 +177,18 @@ class _Parser:
             self.expect("punct", "(")
             cond = self.expression(call_ok=True)
             self.expect("punct", ")")
+            self.nest()
             then = self.statement()
             orelse = self.statement() if self.accept("kw", "else") else None
+            self.depth -= 1
             return If(cond=cond, then=then, orelse=orelse, line=t.line)
         if self.accept("kw", "while"):
             self.expect("punct", "(")
             cond = self.expression(call_ok=True)
             self.expect("punct", ")")
+            self.nest()
             body = self.statement()
+            self.depth -= 1
             return While(cond=cond, body=body, line=t.line)
         if self.accept("kw", "return"):
             value = None
@@ -209,6 +228,7 @@ class _Parser:
         raise self.error("expected call")
 
     def call_args(self) -> tuple[Expr, ...]:
+        self.nest()
         self.expect("punct", "(")
         args: list[Expr] = []
         if not self.at("punct", ")"):
@@ -217,6 +237,7 @@ class _Parser:
                 if not self.accept("punct", ","):
                     break
         self.expect("punct", ")")
+        self.depth -= 1
         return tuple(args)
 
     # -- expressions ---------------------------------------------------------
@@ -230,12 +251,13 @@ class _Parser:
         return e
 
     def ternary(self) -> Expr:
+        self.nest()  # every (sub)expression: parentheses, call arguments, branches
         c = self.logic()
         if self.accept("punct", "?"):
             then = self.ternary()
             self.expect("punct", ":")
-            other = self.ternary()
-            return Ternary(cond=c, then=then, other=other)
+            c = Ternary(cond=c, then=then, other=self.ternary())
+        self.depth -= 1
         return c
 
     def logic(self) -> Expr:
@@ -270,7 +292,10 @@ class _Parser:
     def unary(self) -> Expr:
         if self.at("punct", "!") or self.at("punct", "-"):
             op = self.expect("punct").text
-            return Unary(op=op, operand=self.unary())
+            self.nest()
+            operand = self.unary()
+            self.depth -= 1
+            return Unary(op=op, operand=operand)
         return self.primary()
 
     def primary(self) -> Expr:

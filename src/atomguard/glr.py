@@ -27,8 +27,6 @@ __all__ = [
     "build_parse_table",
     "parse_subword",
     "parse_subword_until_lca",
-    "lowest_common_ancestor",
-    "lca_subtree",
     "tree_sites",
     "tree_word",
     "dump_tree",
@@ -51,16 +49,6 @@ class ParseTable:
     goto_sources: dict[str, tuple[tuple[int, int], ...]]
     complete: tuple[tuple[int, ...], ...]  # per state: completable productions
     partial: tuple[tuple[tuple[int, int], ...], ...]  # per state: (prod, dot>=1) mid-body
-
-    def actions(self, state: int, terminal: str) -> frozenset[tuple[str, int]]:
-        """Classic conflict-set view: shift target plus possible reductions."""
-        acts: set[tuple[str, int]] = set()
-        target = self.goto.get((state, terminal))
-        if target is not None:
-            acts.add(("shift", target))
-        for p in self.complete[state]:
-            acts.add(("reduce", p))
-        return frozenset(acts)
 
 
 def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
@@ -244,25 +232,6 @@ def tree_sites(tree: ParseTree) -> list[CallSite]:
     for ch in tree.children:
         out.extend(tree_sites(ch))
     return out
-
-
-def lca_subtree(tree: ParseTree) -> ParseTree:
-    """Deepest node covering every word terminal of the tree."""
-    cur = tree
-    while cur.children is not None:
-        nxt = None
-        for ch in cur.children:
-            if ch.count == cur.count and not ch.is_leaf:
-                nxt = ch
-                break
-        if nxt is None:
-            break
-        cur = nxt
-    return cur
-
-
-def lowest_common_ancestor(tree: ParseTree) -> str:
-    return lca_subtree(tree).symbol
 
 
 def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None, indent: str = "") -> str:

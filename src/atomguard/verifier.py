@@ -1,19 +1,26 @@
 """Contract checking: drive grammar extraction and subword parsing, classify
 each found occurrence by whether its lowest common ancestor method is
-atomically executed, and render reports."""
+atomically executed, and render reports.
+
+A check is one stream of records: `grammar_stage` yields a `Task` per
+grammar, `simplify_stage` simplifies it, `search_stage` turns it into a
+`Check` with every word's unfiltered trees, and `classify_stage` turns checks
+into violations.  `verify_with_stats` composes them; the CLI dumps read them.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional
 
-from .contracts import CallSequence, Contract, expand_clause, parse_contract
+from .contracts import CallSequence, Clause, Contract, expand_clause, parse_contract
 from .errors import AtomguardError
 from .frontend.analysis import compute_atomically_executed, require_thread_entries
 from .frontend.syntax import ClassDecl, Program
 from .glr import (
     ParseStats,
+    ParseTable,
     ParseTree,
     build_parse_table,
     parse_subword_until_lca,
@@ -30,11 +37,17 @@ from .grammar import (
     simplify_grammar,
     symbol_method,
 )
-from .pointsto import compute_pointsto, module_alloc_sites
+from .pointsto import AllocationSite, PointsToResult, compute_pointsto, module_alloc_sites
 
 __all__ = [
     "Violation",
     "RunStats",
+    "Task",
+    "Check",
+    "grammar_stage",
+    "simplify_stage",
+    "search_stage",
+    "classify_stage",
     "verify",
     "verify_with_stats",
     "check_unification",
@@ -135,43 +148,45 @@ def _units(program: Program, class_scope: bool) -> list[_Unit]:
     ]
 
 
-def _unit_grammars(
+def _grammar(
     program: Program,
     module: ClassDecl,
     unit: _Unit,
-    points_to: bool,
-    pointsto_result,
-) -> list[tuple[Optional[str], BehaviorGrammar]]:
-    """(site label, grammar) pairs to check for one unit."""
-
-    def plain() -> BehaviorGrammar:
-        if unit.class_decl is not None:
-            return build_class_scope_grammar(program, unit.class_decl, module)
+    site: Optional[AllocationSite],
+    pointsto: Optional[PointsToResult],
+) -> BehaviorGrammar:
+    if unit.class_decl is not None:
+        return build_class_scope_grammar(
+            program, unit.class_decl, module, site=site, pointsto=pointsto
+        )
+    if site is None:
         return build_behavior_grammar(program, unit.roots[0], module)
-
-    if not points_to:
-        return [(None, plain())]
-    methods = _reachable_methods(program, unit.roots, unit.scope)
-    sites = module_alloc_sites(program, methods, module, pointsto_result)
-    if not sites:
-        # Receivers that no tracked allocation reaches are opaque; fall back
-        # to the pessimistic grammar rather than skipping the unit.
-        return [(None, plain())]
-    out: list[tuple[Optional[str], BehaviorGrammar]] = []
-    for site in sites:
-        if unit.class_decl is not None:
-            g = build_class_scope_grammar(
-                program, unit.class_decl, module, site=site, pointsto=pointsto_result
-            )
-        else:
-            g = build_behavior_grammar_pointsto(
-                program, unit.roots[0], module, site, pointsto_result
-            )
-        out.append((site.label, g))
-    return out
+    return build_behavior_grammar_pointsto(program, unit.roots[0], module, site, pointsto)
 
 
-def verify_with_stats(
+@dataclass(frozen=True, slots=True)
+class Task:
+    """One grammar to search and the contract words to search it for."""
+
+    module: str
+    unit: str  # thread entry, or `class:NAME` under class scope
+    site: Optional[str]  # allocation site label; None without refinement
+    grammar: BehaviorGrammar
+    words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    """A searched task (grammar simplified), its parse table, and each word's
+    trees as the search found them, before unification and the atomicity filter."""
+
+    task: Task
+    table: ParseTable
+    trees: tuple[tuple[Clause, CallSequence, list[ParseTree]], ...]
+    stats: ParseStats
+
+
+def grammar_stage(
     program: Program,
     module: Optional[ClassDecl | str] = None,
     contract: Optional[Contract] = None,
@@ -179,8 +194,10 @@ def verify_with_stats(
     class_scope: bool = False,
     points_to: bool = True,
     max_clause_len: int = 16,
-) -> tuple[list[Violation], RunStats]:
-    stats = RunStats()
+) -> Iterator[Task]:
+    """One unsimplified grammar per (module, unit, allocation site), in
+    report order; modules without contract clauses yield none.  Each
+    reachable method's CFG is built once and shared until the stream ends."""
     if module is None:
         modules = program.modules
         if not modules:
@@ -191,13 +208,8 @@ def verify_with_stats(
             raise AtomguardError(f"no module class named {module!r}")
         modules = [cls]
 
-    ae = compute_atomically_executed(program)
     units = _units(program, class_scope)
-    pointsto_result = compute_pointsto(program) if points_to else None
-
-    # Every grammar is built and simplified before any search, so the CFGs
-    # the builders share are dropped before the searches' memory peak.
-    checks: list[tuple[list, str, Optional[str], BehaviorGrammar]] = []
+    pointsto = compute_pointsto(program) if points_to else None
     with _shared_cfgs():
         for mod in modules:
             if contract is not None and module is not None:
@@ -208,46 +220,72 @@ def verify_with_stats(
                 )
             if not mod_contract.clauses:
                 continue
-            expanded = [
-                (clause, expand_clause(clause, max_clause_len))
+            words = tuple(
+                (clause, tuple(expand_clause(clause, max_clause_len)))
                 for clause in mod_contract.clauses
-            ]
+            )
             for unit in units:
-                for site_label, grammar in _unit_grammars(
-                    program, mod, unit, points_to, pointsto_result
-                ):
-                    checks.append(
-                        (expanded, unit.label, site_label, simplify_grammar(grammar))
-                    )
+                sites = [None]
+                if pointsto is not None:
+                    methods = _reachable_methods(program, unit.roots, unit.scope)
+                    # Receivers that no tracked allocation reaches are opaque;
+                    # fall back to the pessimistic grammar, not to no grammar.
+                    sites = module_alloc_sites(program, methods, mod, pointsto) or sites
+                for site in sites:
+                    grammar = _grammar(program, mod, unit, site, pointsto)
+                    yield Task(mod.name, unit.label, site.label if site else None, grammar, words)
 
+
+def simplify_stage(tasks: Iterable[Task]) -> Iterator[Task]:
+    """Each task with its grammar simplified; only the caller keeps the raw one."""
+    for task in tasks:
+        yield replace(task, grammar=simplify_grammar(task.grammar))
+
+
+def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
+    """Build each task's parse table and search it for every word."""
+    for task in tasks:
+        table = build_parse_table(task.grammar)
+        stats = ParseStats()
+        trees = tuple(
+            (clause, word, parse_subword_until_lca(table, word.methods, stats))
+            for clause, words in task.words
+            for word in words
+        )
+        yield Check(task, table, trees, stats)
+
+
+def classify_stage(
+    program: Program, checks: Iterable[Check]
+) -> tuple[list[Violation], RunStats]:
+    """Violations (trees that unify with their word and whose LCA method is not
+    atomically executed), deduplicated and ordered, and the run's counters."""
+    ae = compute_atomically_executed(program)
+    stats = RunStats()
     found: list[Violation] = []
-    for expanded, thread, site_label, grammar in checks:
-        table = build_parse_table(grammar)
+    for check in checks:
         stats.grammars += 1
-        pstats = ParseStats()
-        for clause, words in expanded:
-            for word in words:
-                trees = parse_subword_until_lca(table, word.methods, pstats)
-                for tree in trees:
-                    if word.is_parameterized and not check_unification(word, tree):
-                        continue
-                    method = symbol_method(tree.symbol)
-                    if method is None or method in ae:
-                        continue
-                    found.append(
-                        Violation(
-                            clause=clause.text,
-                            word=word.methods,
-                            thread=thread,
-                            site=site_label,
-                            calls=tuple(tree_sites(tree)),
-                            lca_symbol=tree.symbol,
-                            lca_method=method,
-                            suggestion=f"make {method} atomic",
-                        )
+        stats.trees += check.stats.trees
+        stats.branches += check.stats.branches
+        for clause, word, trees in check.trees:
+            for tree in trees:
+                if word.is_parameterized and not check_unification(word, tree):
+                    continue
+                method = symbol_method(tree.symbol)
+                if method is None or method in ae:
+                    continue
+                found.append(
+                    Violation(
+                        clause=clause.text,
+                        word=word.methods,
+                        thread=check.task.unit,
+                        site=check.task.site,
+                        calls=tuple(tree_sites(tree)),
+                        lca_symbol=tree.symbol,
+                        lca_method=method,
+                        suggestion=f"make {method} atomic",
                     )
-        stats.trees += pstats.trees
-        stats.branches += pstats.branches
+                )
 
     deduped: list[Violation] = []
     seen: set[tuple] = set()
@@ -259,7 +297,7 @@ def verify_with_stats(
     return deduped, stats
 
 
-def verify(
+def verify_with_stats(
     program: Program,
     module: Optional[ClassDecl | str] = None,
     contract: Optional[Contract] = None,
@@ -267,17 +305,19 @@ def verify(
     class_scope: bool = False,
     points_to: bool = True,
     max_clause_len: int = 16,
-) -> list[Violation]:
-    """All contract violations of the program, deduplicated and ordered."""
-    violations, _ = verify_with_stats(
-        program,
-        module,
-        contract,
-        class_scope=class_scope,
-        points_to=points_to,
-        max_clause_len=max_clause_len,
-    )
-    return violations
+) -> tuple[list[Violation], RunStats]:
+    options = dict(class_scope=class_scope, points_to=points_to, max_clause_len=max_clause_len)
+    # Every grammar is built and simplified before any search, so the CFGs
+    # the builders share are freed before the searches' memory peak, and no
+    # unsimplified grammar outlives its simplification.
+    tasks = list(simplify_stage(grammar_stage(program, module, contract, **options)))
+    return classify_stage(program, search_stage(tasks))
+
+
+def verify(program: Program, module=None, contract=None, **options) -> list[Violation]:
+    """All contract violations of the program, deduplicated and ordered; takes
+    the arguments of `verify_with_stats`."""
+    return verify_with_stats(program, module, contract, **options)[0]
 
 
 def mark_atomic(program: Program, method_name: str) -> None:

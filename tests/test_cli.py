@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+from collections import Counter
 
+import pytest
+
+import atomguard.verifier
 from atomguard.cli import run, run_corpus
-from conftest import CORPUS, PROGRAMS
-from goldens import BRANCHING_CLIENT_REPORT
+from conftest import CORPUS, PACKAGE_DATA, PROGRAMS
+from goldens import BRANCHING_CLIENT_REPORT, DUMP_DIGESTS
 
 CLEAN = str(PROGRAMS / "nested_calls.mg")
 DIRTY = str(PROGRAMS / "branching_client.mg")
+REPO = PACKAGE_DATA.parent.parent.parent
+ALL_DUMPS = ["--dump-grammar", "--dump-table", "--dump-trees"]
+
+MODULE_AB = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
+
+
+def client(body: str) -> str:
+    """MODULE_AB plus one thread whose body starts on line 8, column 1."""
+    return MODULE_AB + "class C {\n  thread void run() {\n    m = new M();\n" + body + "  }\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +95,49 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     assert captured.err == f"atomguard: {bad}: not UTF-8 text (byte 0xff at offset 28)\n"
 
 
+def test_deep_statement_nesting_exits_two(tmp_path, capsys):
+    # the method body is level 1 and an `if` with a braced body opens two
+    # more: 49 ifs reach level 99, and the block of the 50th `if` (line 57,
+    # column 11) opens level 101
+    ok = tmp_path / "ok.mg"
+    ok.write_text(client("if (cond) {\n" * 49 + "m.a(); m.b();\n" + "}\n" * 49))
+    assert run(["check", str(ok)]) == 1
+    capsys.readouterr()
+
+    deep = tmp_path / "deep.mg"
+    deep.write_text(client("if (cond) {\n" * 400 + "m.a(); m.b();\n" + "}\n" * 400))
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"atomguard: {deep}:57:11: nesting deeper than 100 levels\n"
+
+
+def test_deep_expression_nesting_exits_two(tmp_path, capsys):
+    # the method body is level 1 and the assigned expression level 2; each
+    # parenthesis opens one more, so 98 reach level 100 and the expression
+    # inside the 99th, starting at the 100th parenthesis (column 104), is 101
+    ok = tmp_path / "ok.mg"
+    ok.write_text(client("x = " + "(" * 98 + "1" + ")" * 98 + ";\n"))
+    assert run(["check", str(ok)]) == 0
+    capsys.readouterr()
+
+    deep = tmp_path / "deep.mg"
+    deep.write_text(client("x = " + "(" * 150 + "1" + ")" * 150 + ";\n"))
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"atomguard: {deep}:8:104: nesting deeper than 100 levels\n"
+
+
+def test_corpus_deep_nesting_exits_two(tmp_path, capsys):
+    (tmp_path / "pair.bad.mg").write_text(client("x = " + "-" * 400 + "1;\n"))
+    (tmp_path / "pair.fixed.mg").write_text(client(""))
+    assert run(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("atomguard: pair: ") and "nesting deeper than 100 levels" in out
+
+
 def test_bad_usage_exits_two(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
@@ -110,6 +168,86 @@ def test_dump_trees_section(capsys):
     out = capsys.readouterr().out
     assert "word 'a b' (2 found)" in out
     assert "tree 1:" in out and "tree 2:" in out
+
+
+@pytest.mark.parametrize(
+    "flags", ["", "--class-scope", "--no-points-to"], ids=["default", "class-scope", "no-points-to"]
+)
+def test_dumps_match_frozen_digests(flags, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    monkeypatch.setenv("ATOMGUARD_COLOR", "0")
+    files = sorted(p.relative_to(REPO).as_posix() for p in PACKAGE_DATA.rglob("*.mg"))
+    assert files == sorted(name for f, name in DUMP_DIGESTS if f == flags)
+    mismatched = []
+    for name in files:
+        code = run(["check", *ALL_DUMPS, *flags.split(), name])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (code, digest) != DUMP_DIGESTS[flags, name]:
+            mismatched.append(name)
+    assert mismatched == []
+
+
+LAYERS = ("compute_pointsto", "simplify_grammar", "build_parse_table", "parse_subword_until_lca")
+
+
+def count_layer_calls(monkeypatch) -> Counter:
+    """Count the calls into each layer, through every atomguard module
+    that binds the layer's entry point."""
+    counts: Counter = Counter()
+    for name in LAYERS:
+        original = getattr(atomguard.verifier, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("atomguard") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
+    # two threads and two allocation sites: four grammars, one word each
+    prog = tmp_path / "sites.mg"
+    prog.write_text(
+        MODULE_AB
+        + "class C {\n"
+        "  thread void t1() { x = new M(); y = new M(); x.a(); y.a(); x.b(); y.b(); }\n"
+        "  thread void t2() { x.a(); y.b(); }\n"
+        "}\n"
+    )
+    counts = count_layer_calls(monkeypatch)
+    assert run(["check", str(prog)]) == 1
+    plain = dict(counts)
+    report = capsys.readouterr().out
+    counts.clear()
+    assert run(["check", *ALL_DUMPS, str(prog)]) == 1
+    assert dict(counts) == plain == {
+        "compute_pointsto": 1,
+        "simplify_grammar": 4,
+        "build_parse_table": 4,
+        "parse_subword_until_lca": 4,
+    }
+    out = capsys.readouterr().out
+    assert out.endswith(report)
+    assert out.count("# grammar: ") == out.count("# parse table: ") == 4
+
+
+def test_clause_less_module_gets_no_dump_section(tmp_path, capsys):
+    prog = tmp_path / "quiet.mg"
+    prog.write_text(
+        MODULE_AB
+        + "class N contract { } {\n  void c() { }\n}\n"
+        + "class C {\n  thread void run() {\n"
+        "    m = new M(); n = new N(); m.a(); n.c(); m.b();\n  }\n}\n"
+    )
+    assert run(["check", *ALL_DUMPS, str(prog)]) == 1
+    out = capsys.readouterr().out
+    assert "module M, run" in out
+    assert "module N" not in out
 
 
 # ---------------------------------------------------------------------------

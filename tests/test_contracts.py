@@ -12,7 +12,6 @@ from atomguard import (
     StarNotAllowedError,
     UnknownMethodError,
     expand_clause,
-    overlapping_clause_pairs,
     parse_contract,
     parse_parameterized_atom,
 )
@@ -186,19 +185,3 @@ def test_expansion_matches_independent_enumeration():
         text = _random_clause_text(rng)
         assert words_of(text) == clause_words(text), text
 
-
-# ---------------------------------------------------------------------------
-# overlap diagnostic
-
-
-def test_overlapping_clause_pairs_reports_chains():
-    contract = parse_contract('"a b"; "b a"', ALPHABET)
-    assert overlapping_clause_pairs(contract) == [
-        (0, 1, ("b",)),
-        (1, 0, ("a",)),
-    ]
-
-
-def test_non_overlapping_clauses_report_nothing():
-    contract = parse_contract('"a b"; "c d"', ALPHABET)
-    assert overlapping_clause_pairs(contract) == []

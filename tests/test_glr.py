@@ -10,8 +10,6 @@ from atomguard import (
     build_behavior_grammar,
     build_parse_table,
     dump_tree,
-    lca_subtree,
-    lowest_common_ancestor,
     parse_dump,
     parse_subword,
     parse_subword_until_lca,
@@ -59,7 +57,8 @@ def assert_minimal_cover(tree) -> None:
 def test_single_production_table():
     table = build_parse_table(parse_dump("Start: S\nS -> a\n"))
     assert len(table.states) == 3
-    assert table.actions(0, "a") == frozenset({("shift", 2)})
+    assert table.goto[(0, "a")] == 2, "state 0 shifts a"
+    assert not table.complete[0], "and has nothing to reduce"
     reduce_states = [s for s in range(3) if table.complete[s]]
     assert reduce_states, "the completed item must be recorded somewhere"
 
@@ -70,7 +69,7 @@ def test_conflicting_actions_are_kept_as_data():
         (s, t)
         for s in range(len(table.states))
         for t in grammar.terminals
-        if len(table.actions(s, t)) >= 2
+        if ((s, t) in table.goto) + len(table.complete[s]) >= 2
     ]
     assert conflicted, "the ambiguous client must produce a conflict state"
     assert any(len(table.complete[s]) >= 2 for s in range(len(table.states)))
@@ -124,9 +123,19 @@ def test_repeated_terminal_nests_in_the_loop():
 
 def test_full_parse_lca():
     table, _ = table_for("nested_calls.mg", "run")
-    (tree,) = parse_subword(table, ("a", "b", "b", "c"))
-    assert symbol_method(lca_subtree(tree).symbol) == "run"
-    assert lowest_common_ancestor(tree) == lca_subtree(tree).symbol
+    word = ("a", "b", "b", "c")
+    (full,) = parse_subword(table, word)
+    (lca,) = parse_subword_until_lca(table, word)
+    assert symbol_method(lca.symbol) == "run"
+
+    def covering(node):
+        # nodes of the full parse that cover the whole word, root first
+        if node.is_leaf or node.count < len(word):
+            return []
+        return [node] + [n for child in node.children for n in covering(child)]
+
+    # the deepest covering node of the full parse is the until-LCA root
+    assert covering(full)[-1].key == lca.key
 
 
 def test_until_lca_roots_are_the_ancestors():
