@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 WILDCARD = "_"
+MAX_GROUP_NESTING = 100  # parenthesized groups inside one another
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,6 +152,7 @@ class _ClauseParser:
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0  # open groups
 
     @property
     def cur(self) -> Optional[str]:
@@ -183,11 +185,17 @@ class _ClauseParser:
 
     def parse_group(self) -> _Group:
         self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_GROUP_NESTING:
+            raise ContractError(
+                f"groups nested deeper than {MAX_GROUP_NESTING} levels in clause {self.text!r}"
+            )
         branches = [self.parse_seq()]
         while self.cur == "|":
             self.take()
             branches.append(self.parse_seq())
         self.expect(")")
+        self.depth -= 1
         if len(branches) < 2:
             raise ContractError(
                 f"parenthesized group needs at least two alternatives in clause {self.text!r}"

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from ..errors import NoEntryPointsError
-from .parser import iter_method_statements, statement_call
 from .syntax import MethodDecl, Program
 
-__all__ = ["find_thread_entries", "compute_atomically_executed", "client_call_sites"]
+__all__ = ["find_thread_entries", "compute_atomically_executed"]
 
 
 def find_thread_entries(program: Program) -> list[MethodDecl]:
@@ -28,18 +27,6 @@ def require_thread_entries(program: Program) -> list[MethodDecl]:
     return entries
 
 
-def client_call_sites(program: Program) -> dict[str, list[str]]:
-    """Map each client method to the client methods that call it."""
-    callers: dict[str, list[str]] = {name: [] for name in program.client_methods}
-    for c in program.client_classes:
-        for m in c.methods:
-            for stmt in iter_method_statements(m):
-                call = statement_call(stmt)
-                if call is not None and call.receiver is None:
-                    callers[call.method].append(m.name)
-    return callers
-
-
 def compute_atomically_executed(program: Program) -> set[str]:
     """Greatest fixpoint of the atomically-executed client methods.
 
@@ -49,7 +36,11 @@ def compute_atomically_executed(program: Program) -> set[str]:
     so is a method with no call sites at all.
     """
     entries = {m.name for m in find_thread_entries(program)}
-    callers = client_call_sites(program)
+    callers: dict[str, list[str]] = {name: [] for name in program.client_methods}
+    for name, calls in program.calls.items():
+        for call in calls:
+            if call.receiver is None:
+                callers[call.method].append(name)
     methods = program.client_methods
     ae = set(methods)
     changed = True

@@ -12,9 +12,10 @@ Calls may appear only as a whole statement, as the direct right-hand side
 of an assignment, or as the direct condition of `if`/`while`.  That keeps
 every call on its own control-flow node.
 
-Blocks, `if`/`while` bodies, expressions, call argument lists and unary
-operators nest at most MAX_NESTING levels, counted together (a method body
-is level 1); deeper input is a syntax error, not a recursion overflow.
+Blocks, `if`/`while` bodies, expressions, call argument lists, unary
+operators and each `&&`/`||`, `+`/`-` and `*` of an operator chain nest at
+most MAX_NESTING levels, counted together (a method body is level 1); deeper
+input is a syntax error, not a recursion overflow.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
-        self.depth = 0  # open blocks, statement bodies, expressions, unary operators
+        self.depth = 0  # open blocks, statement bodies, expressions, operators
 
     # -- token helpers ----------------------------------------------------
 
@@ -79,7 +80,8 @@ class _Parser:
         return None
 
     def nest(self) -> None:
-        """Open a nesting level, closed by `self.depth -= 1` (errors end the parse)."""
+        """Open a nesting level, closed by `self.depth -= 1` or by restoring a
+        saved depth (errors end the parse)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels")
@@ -260,11 +262,19 @@ class _Parser:
         self.depth -= 1
         return c
 
+    # Each operator of a chain opens a level: the chain builds a left-deep
+    # `Binary`, and the recursive expression walks descend one call per node.
+    # The loops stay inline: a shared chain helper would add Python frames per
+    # level, and 100 levels of parentheses would overflow the recursion limit.
+
     def logic(self) -> Expr:
         e = self.comparison()
+        depth = self.depth
         while self.at("punct", "&&") or self.at("punct", "||"):
             op = self.expect("punct").text
+            self.nest()
             e = Binary(op=op, left=e, right=self.comparison())
+        self.depth = depth
         return e
 
     def comparison(self) -> Expr:
@@ -277,16 +287,22 @@ class _Parser:
 
     def additive(self) -> Expr:
         e = self.multiplicative()
+        depth = self.depth
         while self.at("punct", "+") or self.at("punct", "-"):
             op = self.expect("punct").text
+            self.nest()
             e = Binary(op=op, left=e, right=self.multiplicative())
+        self.depth = depth
         return e
 
     def multiplicative(self) -> Expr:
         e = self.unary()
+        depth = self.depth
         while self.at("punct", "*"):
             self.expect("punct", "*")
+            self.nest()
             e = Binary(op="*", left=e, right=self.unary())
+        self.depth = depth
         return e
 
     def unary(self) -> Expr:
@@ -423,6 +439,7 @@ def _resolve(program: Program, filename: str) -> None:
     class_names = {c.name for c in program.classes}
     for c in program.client_classes:
         for m in c.methods:
+            calls = program.calls[m.name] = []
             for stmt in iter_method_statements(m):
                 for e in statement_exprs(stmt):
                     if isinstance(e, New) and e.class_name not in class_names:
@@ -432,6 +449,7 @@ def _resolve(program: Program, filename: str) -> None:
                 call = statement_call(stmt)
                 if call is None:
                     continue
+                calls.append(call)
                 if call.receiver is None:
                     if call.method in program.client_methods:
                         continue

@@ -197,6 +197,7 @@ class Program:
     # Resolution indexes, filled by the parser:
     client_methods: dict[str, MethodDecl] = field(default_factory=dict)
     module_methods: dict[str, list[str]] = field(default_factory=dict)  # name -> module classes
+    calls: dict[str, list[Call]] = field(default_factory=dict)  # client method -> calls, in order
 
     @property
     def modules(self) -> list[ClassDecl]:

@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 
 from .errors import AtomguardError
 from .frontend.cfg import Cfg, NodeKind, build_cfg
-from .frontend.parser import iter_method_statements, statement_call
 from .frontend.syntax import ClassDecl, MethodDecl, Program, expr_text
 from .pointsto import AllocationSite, PointsToResult
 
@@ -129,12 +128,7 @@ def _reachable_methods(
     while work:
         name = work.popleft()
         seen.append(name)
-        m = program.client_methods[name]
-        callees = set()
-        for stmt in iter_method_statements(m):
-            call = statement_call(stmt)
-            if call is not None and call.receiver is None:
-                callees.add(call.method)
+        callees = {call.method for call in program.calls[name] if call.receiver is None}
         for callee in sorted(callees):
             if callee in queued:
                 continue

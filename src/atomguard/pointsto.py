@@ -196,12 +196,8 @@ def module_alloc_sites(
     module_method_names = {m.name for m in module.methods}
     hit: set[int] = set()
     for name in methods:
-        m = program.client_methods[name]
-        for stmt in iter_method_statements(m):
-            call = statement_call(stmt)
-            if call is None or call.receiver is None:
-                continue
-            if call.method not in module_method_names:
+        for call in program.calls[name]:
+            if call.receiver is None or call.method not in module_method_names:
                 continue
             for idx in pointsto.may_sites(name, call.receiver):
                 if pointsto.sites[idx].class_name == module.name:

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import atomguard.frontend.parser
 import atomguard.verifier
 from atomguard.cli import run, run_corpus
 from conftest import CORPUS, PACKAGE_DATA, PROGRAMS
@@ -138,6 +139,92 @@ def test_corpus_deep_nesting_exits_two(tmp_path, capsys):
     assert out.startswith("atomguard: pair: ") and "nesting deeper than 100 levels" in out
 
 
+def chain(op: str, terms: int, term: str = "1") -> str:
+    return f" {op} ".join([term] * terms)
+
+
+LONG_CHAINS = {
+    "assignment": "x = " + chain("+", 2000) + ";\n",
+    "call-argument": "m.a(" + chain("-", 2000) + ");\n",
+    "return-value": "return " + chain("*", 2000) + ";\n",
+    "condition": "if (" + chain("&&", 2000, "cond") + ") { m.a(); }\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LONG_CHAINS))
+def test_long_operator_chain_exits_two(tmp_path, capsys, shape):
+    # a flat chain parses to a left-deep tree, one level per operator
+    deep = tmp_path / "deep.mg"
+    deep.write_text(client(LONG_CHAINS[shape]))
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"atomguard: {deep}:8:")
+    assert captured.err.endswith(": nesting deeper than 100 levels\n")
+
+
+def test_operator_chain_limit(tmp_path, capsys):
+    # the method body is level 1, the expression level 2 and each `+` one
+    # more: 98 operators reach level 100; the 99th opens level 101 at the
+    # term after it (column 5 + 4 * 99)
+    ok = tmp_path / "ok.mg"
+    ok.write_text(client("x = " + chain("+", 99) + ";\n"))
+    assert run(["check", str(ok)]) == 0
+    capsys.readouterr()
+
+    deep = tmp_path / "deep.mg"
+    deep.write_text(client("x = " + chain("+", 100) + ";\n"))
+    assert run(["check", str(deep)]) == 2
+    assert capsys.readouterr().err == f"atomguard: {deep}:8:401: nesting deeper than 100 levels\n"
+
+
+def nested_clause_module(depth: int) -> str:
+    """MODULE_AB with the clause `(a | (a | ... a)) b`, `depth` groups deep."""
+    group = "a"
+    for _ in range(depth):
+        group = f"(a | {group})"
+    return MODULE_AB.replace('"a b"', f'"{group} b"')
+
+
+def test_deep_clause_nesting_exits_two(tmp_path, capsys):
+    thread = "class C {\n  thread void run() { m = new M(); m.a(); m.b(); }\n}\n"
+    ok = tmp_path / "ok.mg"
+    ok.write_text(nested_clause_module(100) + thread)
+    assert run(["check", str(ok)]) == 1
+    capsys.readouterr()
+
+    deep = tmp_path / "deep.mg"
+    deep.write_text(nested_clause_module(400) + thread)
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "atomguard: groups nested deeper than 100 levels in clause '(a | (a | "
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (client(LONG_CHAINS["assignment"]), "nesting deeper than 100 levels"),
+        (
+            nested_clause_module(400) + "class C {\n  thread void run() { m.a(); }\n}\n",
+            "groups nested deeper than 100 levels",
+        ),
+    ],
+    ids=["operator-chain", "clause-groups"],
+)
+def test_corpus_long_chain_and_deep_clause_exit_two(tmp_path, capsys, bad, message):
+    (tmp_path / "pair.bad.mg").write_text(bad)
+    (tmp_path / "pair.fixed.mg").write_text(client(""))
+    assert run(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("atomguard: pair: ") and message in out
+
+
 def test_bad_usage_exits_two(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
@@ -190,12 +277,12 @@ def test_dumps_match_frozen_digests(flags, monkeypatch, capsys):
 LAYERS = ("compute_pointsto", "simplify_grammar", "build_parse_table", "parse_subword_until_lca")
 
 
-def count_layer_calls(monkeypatch) -> Counter:
-    """Count the calls into each layer, through every atomguard module
-    that binds the layer's entry point."""
+def count_layer_calls(monkeypatch, home=atomguard.verifier, names=LAYERS) -> Counter:
+    """Count the calls to each of `home`'s functions `names`, through every
+    atomguard module that binds them."""
     counts: Counter = Counter()
-    for name in LAYERS:
-        original = getattr(atomguard.verifier, name)
+    for name in names:
+        original = getattr(home, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -234,6 +321,35 @@ def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.endswith(report)
     assert out.count("# grammar: ") == out.count("# parse table: ") == 4
+
+
+def sites_program(sites: int) -> str:
+    """MODULE_AB and two threads; t1 allocates `sites` objects and calls
+    a and b on each, t2 calls them on the first."""
+    names = [f"x{i}" for i in range(sites)]
+    t1 = "".join(f"{x} = new M(); " for x in names) + "".join(f"{x}.a(); {x}.b(); " for x in names)
+    return (
+        MODULE_AB
+        + "class C {\n"
+        + f"  thread void t1() {{ {t1}}}\n"
+        + "  thread void t2() { x0.a(); x0.b(); }\n"
+        + "}\n"
+    )
+
+
+def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
+    # calls are resolved once, by the parser; no later layer walks the
+    # method bodies again per thread or per allocation site
+    walks = count_layer_calls(monkeypatch, atomguard.frontend.parser, ["iter_method_statements"])
+    per_size = {}
+    for sites in (3, 12):
+        prog = tmp_path / f"sites{sites}.mg"
+        prog.write_text(sites_program(sites))
+        walks.clear()
+        assert run(["check", str(prog)]) == 1
+        per_size[sites] = walks["iter_method_statements"]
+    capsys.readouterr()
+    assert per_size[3] == per_size[12] <= 4 * 2, "at most 4 walks per client method"
 
 
 def test_clause_less_module_gets_no_dump_section(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from itertools import product
+
+import pytest
 
 from atomguard import (
     ParseStats,
@@ -11,12 +15,14 @@ from atomguard import (
     build_parse_table,
     dump_tree,
     parse_dump,
+    parse_program,
     parse_subword,
     parse_subword_until_lca,
     simplify_grammar,
     symbol_method,
     tree_sites,
     tree_word,
+    verify_with_stats,
 )
 from conftest import load_program
 from oracles import assert_tree_pruned, tree_word_count
@@ -233,3 +239,84 @@ def test_parsing_is_deterministic():
     first = [dump_tree(t) for t in parse_subword_until_lca(table, ("a", "b"))]
     second = [dump_tree(t) for t in parse_subword_until_lca(table, ("a", "b"))]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# search size: exact branch counts
+
+
+# thread body and helpers, clause -> (violations, trees, branches)
+SEARCH_SHAPES = {
+    # an epsilon-recursive helper in a loop: the zero-count push guard
+    # (rec_empty) is all that keeps this search from running on and on
+    "epsilon-recursion": (
+        "thread void run() { while (cond) { e(); m.a(); } m.b(); }\n"
+        "  void e() { if (cond) { e(); e(); } }",
+        "a b",
+        (1, 1, 9),
+    ),
+    # mutual recursion through an empty alternative: without the repeated
+    # push guard (rec_depth) the search finds 5 trees in 2,014 branches and
+    # reports the same two violations in the other order
+    "hidden-left-recursion": (
+        "thread void run() { f(); m.b(); }\n"
+        "  void f() { if (cond) { f(); m.a(); } else { g(); } }\n"
+        "  void g() { if (cond) { g(); f(); } }",
+        "a a a",
+        (2, 4, 1694),
+    ),
+    "diamonds-3": (
+        "thread void run() {\n" + "    if (cond) { m.a(); } else { m.b(); }\n" * 3 + "  }",
+        "a b",
+        (2, 2, 39),
+    ),
+    "diamonds-5": (
+        "thread void run() {\n" + "    if (cond) { m.a(); } else { m.b(); }\n" * 5 + "  }",
+        "a b",
+        (4, 4, 147),
+    ),
+    "loop-with-branch": (
+        "thread void run() { while (cond) { if (cond) { m.a(); } else { m.b(); } } }",
+        "a b",
+        (1, 1, 60),
+    ),
+    "shared-helper": (
+        "thread void run() { h(); m.b(); h(); m.b(); h(); }\n  void h() { m.a(); }",
+        "a b",
+        (1, 2, 21),
+    ),
+    "optional-helper": (
+        "thread void run() { h(); h(); h(); h(); m.b(); }\n"
+        "  void h() { if (cond) { m.a(); } }",
+        "a b",
+        (1, 4, 340),
+    ),
+}
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail, instead of hanging, when the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"search still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
+def test_search_branch_counts_are_pinned(shape):
+    # A change to the search that explores more (or fewer) branches shows
+    # here as an exact count, long before it shows in wall time.
+    body, clause, expected = SEARCH_SHAPES[shape]
+    module = f'class M contract {{ "{clause}" }} {{\n  void a() {{ }}\n  void b() {{ }}\n}}\n'
+    program = parse_program(module + "class C {\n  " + body + "\n}\n", f"{shape}.mg")
+    with deadline(2.0):
+        violations, stats = verify_with_stats(program)
+    assert (len(violations), stats.trees, stats.branches) == expected
