@@ -22,6 +22,7 @@ from .syntax import (
     Return,
     Stmt,
     While,
+    statement_call,
 )
 
 __all__ = ["NodeKind", "CfgNode", "Cfg", "build_cfg"]
@@ -76,8 +77,18 @@ class _Builder:
         self.nodes.append(node)
         return node
 
-    def call_kind(self, call: Call) -> NodeKind:
-        return NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
+    def stmt_node(self, stmt: Stmt) -> CfgNode:
+        """The node of a statement other than a block or return, carrying the
+        statement's call if it makes one."""
+        call = statement_call(stmt)
+        if call is None:
+            return self.new_node(NodeKind.OTHER, stmt.line, stmt)
+        kind = NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
+        node = self.new_node(kind, stmt.line, stmt)
+        node.call = call
+        if isinstance(stmt, Assign):
+            node.result_var = stmt.target
+        return node
 
     def lower_stmt(self, stmt: Stmt) -> tuple[Optional[int], list[int]]:
         """Returns (entry index or None if the statement is empty, exits).
@@ -91,10 +102,7 @@ class _Builder:
             node = self.new_node(NodeKind.RETURN, stmt.line, stmt)
             return node.index, []
         if isinstance(stmt, If):
-            kind = self.call_kind(stmt.cond) if isinstance(stmt.cond, Call) else NodeKind.OTHER
-            node = self.new_node(kind, stmt.line, stmt)
-            if isinstance(stmt.cond, Call):
-                node.call = stmt.cond
+            node = self.stmt_node(stmt)
             exits: list[int] = []
             t_entry, t_exits = self.lower_stmt(stmt.then)
             if t_entry is None:
@@ -113,29 +121,14 @@ class _Builder:
                     exits.extend(e_exits)
             return node.index, exits
         if isinstance(stmt, While):
-            kind = self.call_kind(stmt.cond) if isinstance(stmt.cond, Call) else NodeKind.OTHER
-            node = self.new_node(kind, stmt.line, stmt)
-            if isinstance(stmt.cond, Call):
-                node.call = stmt.cond
+            node = self.stmt_node(stmt)
             b_entry, b_exits = self.lower_stmt(stmt.body)
             self._wire(node.index, b_entry if b_entry is not None else node.index)
             for e in b_exits:
                 self._wire(e, node.index)
             return node.index, [node.index]
-        if isinstance(stmt, (Assign, ExprStmt)):
-            call = stmt.call if isinstance(stmt, ExprStmt) else None
-            if isinstance(stmt, Assign) and isinstance(stmt.value, Call):
-                call = stmt.value
-            if call is not None:
-                node = self.new_node(self.call_kind(call), stmt.line, stmt)
-                node.call = call
-                if isinstance(stmt, Assign):
-                    node.result_var = stmt.target
-            else:
-                node = self.new_node(NodeKind.OTHER, stmt.line, stmt)
-            return node.index, [node.index]
-        if isinstance(stmt, Increment):
-            node = self.new_node(NodeKind.OTHER, stmt.line, stmt)
+        if isinstance(stmt, (Assign, ExprStmt, Increment)):
+            node = self.stmt_node(stmt)
             return node.index, [node.index]
         raise TypeError(f"not a statement: {stmt!r}")
 

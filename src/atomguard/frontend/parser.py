@@ -44,6 +44,7 @@ from .syntax import (
     Ternary,
     Unary,
     While,
+    statement_call,
 )
 
 __all__ = ["parse_program"]
@@ -317,7 +318,10 @@ class _Parser:
     def primary(self) -> Expr:
         t = self.cur
         if self.accept("int"):
-            return IntLit(int(t.text))
+            try:
+                return IntLit(int(t.text))
+            except ValueError:  # a non-ASCII digit, or more digits than int() converts
+                raise self.error("invalid integer literal", t) from None
         if self.accept("kw", "cond"):
             return CondExpr()
         if self.accept("kw", "new"):
@@ -369,17 +373,6 @@ def _iter_statements(stmt: Stmt):
 def iter_method_statements(method: MethodDecl):
     """All statements of a method body, outermost first."""
     yield from _iter_statements(method.body)
-
-
-def statement_call(stmt: Stmt) -> Call | None:
-    """The call performed by this statement, if any."""
-    if isinstance(stmt, ExprStmt):
-        return stmt.call
-    if isinstance(stmt, Assign) and isinstance(stmt.value, Call):
-        return stmt.value
-    if isinstance(stmt, (If, While)) and isinstance(stmt.cond, Call):
-        return stmt.cond
-    return None
 
 
 def _iter_exprs(e: Expr):

@@ -150,6 +150,17 @@ class ExprStmt:
 Stmt = Union[Block, If, While, Return, Assign, Increment, ExprStmt]
 
 
+def statement_call(stmt: Stmt) -> Optional[Call]:
+    """The call performed by this statement, if any."""
+    if isinstance(stmt, ExprStmt):
+        return stmt.call
+    if isinstance(stmt, Assign) and isinstance(stmt.value, Call):
+        return stmt.value
+    if isinstance(stmt, (If, While)) and isinstance(stmt.cond, Call):
+        return stmt.cond
+    return None
+
+
 # --------------------------------------------------------------------------
 # declarations
 
@@ -182,12 +193,6 @@ class ClassDecl:
     @property
     def is_module(self) -> bool:
         return self.contract_text is not None
-
-    def method(self, name: str) -> Optional[MethodDecl]:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
 
 
 @dataclass(slots=True)

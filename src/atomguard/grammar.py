@@ -260,16 +260,10 @@ def _build(
             for s in succs:
                 prods.append(Production(sym, (s,)))
 
-    deduped: list[Production] = []
-    seen: set[Production] = set()
-    for p in prods:
-        if p not in seen:
-            seen.add(p)
-            deduped.append(p)
     return BehaviorGrammar(
         start=start,
         terminals=frozenset(module_method_names),
-        productions=tuple(deduped),
+        productions=tuple(prods),
         label=label,
     )
 

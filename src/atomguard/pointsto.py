@@ -9,24 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .frontend.parser import iter_method_statements, statement_call
+from .frontend.parser import iter_method_statements
 from .frontend.syntax import (
     Assign,
     Call,
     ClassDecl,
     Expr,
-    MethodDecl,
     Name,
     New,
     Program,
     Return,
     Ternary,
+    statement_call,
 )
 
 __all__ = [
     "AllocationSite",
     "PointsToResult",
-    "collect_allocation_sites",
     "compute_pointsto",
     "module_alloc_sites",
 ]
@@ -49,14 +48,6 @@ class AllocationSite:
         return f"{self.class_name}@{self.file}:{self.line}"
 
 
-def method_locals(method: MethodDecl) -> frozenset[str]:
-    names = {p.name for p in method.params}
-    for stmt in iter_method_statements(method):
-        if isinstance(stmt, Assign) and stmt.declares:
-            names.add(stmt.target)
-    return frozenset(names)
-
-
 @dataclass(slots=True)
 class PointsToResult:
     sites: list[AllocationSite]
@@ -72,108 +63,71 @@ class PointsToResult:
         return self.may.get(self.var_key(method, name), frozenset())
 
 
-def _collect(program: Program) -> tuple[list[AllocationSite], dict[int, AllocationSite]]:
-    module_names = {c.name for c in program.modules}
-    sites: list[AllocationSite] = []
-    by_expr: dict[int, AllocationSite] = {}
-    for c in program.client_classes:
-        for m in c.methods:
-            for stmt in iter_method_statements(m):
-                line = getattr(stmt, "line", m.line)
-                for e in _stmt_exprs(stmt):
-                    for sub in _walk_expr(e):
-                        if isinstance(sub, New) and sub.class_name in module_names:
-                            site = AllocationSite(
-                                index=len(sites),
-                                class_name=sub.class_name,
-                                method=m.name,
-                                file=program.source_name,
-                                line=line,
-                            )
-                            sites.append(site)
-                            by_expr[id(sub)] = site
-    return sites, by_expr
-
-
-def collect_allocation_sites(program: Program) -> list[AllocationSite]:
-    return _collect(program)[0]
-
-
-def _stmt_exprs(stmt):
-    if isinstance(stmt, Assign):
-        yield stmt.value
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        yield stmt.value
-    else:
-        call = statement_call(stmt)
-        if call is not None:
-            yield call
-
-
-def _walk_expr(e: Expr):
-    yield e
-    if isinstance(e, Ternary):
-        yield from _walk_expr(e.then)
-        yield from _walk_expr(e.other)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _walk_expr(a)
-
-
-def _value_sources(e: Expr):
-    """(site-expr | name) contributors to the value of e, ignoring opaque parts."""
-    if isinstance(e, (New, Name, Call)):
-        yield e
-    elif isinstance(e, Ternary):
-        yield from _value_sources(e.then)
-        yield from _value_sources(e.other)
-
-
 def compute_pointsto(program: Program) -> PointsToResult:
     """May-point-to sets per variable, as allocation-site indexes.
 
     Assignments, argument passing, and returns copy sets; the analysis
-    iterates to a fixpoint and ignores control flow.
+    iterates to a fixpoint and ignores control flow.  One walk over each
+    client method body collects its locals, its allocation sites (numbered
+    in walk order) and its value flows; a flow's variables get their keys
+    once every method's locals are known.
     """
-    locals_of = {name: method_locals(m) for name, m in program.client_methods.items()}
-    result = PointsToResult(sites=[], may={}, _locals=locals_of)
-    sites, by_expr = _collect(program)
-    result.sites = sites
+    module_names = {c.name for c in program.modules}
+    result = PointsToResult(sites=[], may={})
+    # A variable is (method, name) until its key is known; the return slot
+    # is always method-scoped.
+    seeds: list[tuple[tuple[str, str], int]] = []  # (variable, site index)
+    copies: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (source, dest)
 
-    seeds: list[tuple[str, int]] = []  # (var key, site index)
-    copies: list[tuple[str, str]] = []  # (source key, dest key)
+    def flow(method: str, line: int, dest: tuple[str, str] | None, e: Expr) -> None:
+        """Record the sites in e and what of e's value reaches dest (None: nothing)."""
+        if isinstance(e, Ternary):
+            flow(method, line, dest, e.then)
+            flow(method, line, dest, e.other)
+        elif isinstance(e, New) and e.class_name in module_names:
+            site = AllocationSite(len(result.sites), e.class_name, method, program.source_name, line)
+            result.sites.append(site)
+            if dest is not None:
+                seeds.append((dest, site.index))
+        elif isinstance(e, Name) and dest is not None:
+            copies.append(((method, e.id), dest))
+        elif isinstance(e, Call):
+            params: list[tuple[str, str]] = []
+            if e.receiver is None:
+                if dest is not None:
+                    copies.append(((e.method, RETURN_SLOT), dest))
+                params = [(e.method, p.name) for p in program.client_methods[e.method].params]
+            for i, arg in enumerate(e.args):
+                flow(method, line, params[i] if i < len(params) else None, arg)
 
-    def add_source(dest_key: str, method: MethodDecl, e: Expr) -> None:
-        for src in _value_sources(e):
-            if isinstance(src, New):
-                site = by_expr.get(id(src))
-                if site is not None:
-                    seeds.append((dest_key, site.index))
-            elif isinstance(src, Name):
-                copies.append((result.var_key(method.name, src.id), dest_key))
-            elif isinstance(src, Call) and src.receiver is None:
-                copies.append((f"{src.method}:{RETURN_SLOT}", dest_key))
+    for c in program.client_classes:
+        for m in c.methods:
+            names = {p.name for p in m.params}
+            for stmt in iter_method_statements(m):
+                if isinstance(stmt, Assign):
+                    if stmt.declares:
+                        names.add(stmt.target)
+                    flow(m.name, stmt.line, (m.name, stmt.target), stmt.value)
+                elif isinstance(stmt, Return) and stmt.value is not None:
+                    flow(m.name, stmt.line, (m.name, RETURN_SLOT), stmt.value)
+                else:
+                    call = statement_call(stmt)
+                    if call is not None:
+                        flow(m.name, stmt.line, None, call)
+            result._locals[m.name] = frozenset(names)
 
-    for _, m in sorted(program.client_methods.items()):
-        for stmt in iter_method_statements(m):
-            if isinstance(stmt, Assign):
-                add_source(result.var_key(m.name, stmt.target), m, stmt.value)
-            elif isinstance(stmt, Return) and stmt.value is not None:
-                add_source(f"{m.name}:{RETURN_SLOT}", m, stmt.value)
-            call = statement_call(stmt)
-            if call is not None and call.receiver is None:
-                callee = program.client_methods[call.method]
-                for param, arg in zip(callee.params, call.args):
-                    dest = f"{callee.name}:{param.name}"
-                    add_source(dest, m, arg)
+    def key(var: tuple[str, str]) -> str:
+        method, name = var
+        return f"{method}:{name}" if name == RETURN_SLOT else result.var_key(method, name)
 
     may: dict[str, set[int]] = {}
-    for key, idx in seeds:
-        may.setdefault(key, set()).add(idx)
+    for var, idx in seeds:
+        may.setdefault(key(var), set()).add(idx)
+    keyed = [(key(src), key(dest)) for src, dest in copies]
     changed = True
     while changed:
         changed = False
-        for src, dest in copies:
+        for src, dest in keyed:
             src_set = may.get(src)
             if not src_set:
                 continue

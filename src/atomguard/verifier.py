@@ -196,9 +196,12 @@ def grammar_stage(
     max_clause_len: int = 16,
 ) -> Iterator[Task]:
     """One unsimplified grammar per (module, unit, allocation site), in
-    report order; modules without contract clauses yield none.  Each
+    report order; modules without contract clauses yield none.  `contract`,
+    which needs `module`, replaces that module's own contract.  Each
     reachable method's CFG is built once and shared until the stream ends."""
     if module is None:
+        if contract is not None:
+            raise AtomguardError("a contract needs the module it is for")
         modules = program.modules
         if not modules:
             raise AtomguardError("program declares no module with a contract")
@@ -212,7 +215,7 @@ def grammar_stage(
     pointsto = compute_pointsto(program) if points_to else None
     with _shared_cfgs():
         for mod in modules:
-            if contract is not None and module is not None:
+            if contract is not None:
                 mod_contract = contract
             else:
                 mod_contract = parse_contract(

@@ -5,7 +5,8 @@ without going through the grammar or parser pipelines under test: clause
 expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, and structural
 checks on parse trees.  It also keeps the original quadratic grammar
-simplification as the reference the linear one must reproduce.
+simplification and the original three-walk points-to analysis as the
+references the pipeline's versions must reproduce.
 """
 
 from __future__ import annotations
@@ -14,16 +15,23 @@ import itertools
 from dataclasses import dataclass, field
 
 from atomguard import BehaviorGrammar, ParseTree, Production, Program
+from atomguard.frontend.parser import iter_method_statements, statement_call
 from atomguard.frontend.syntax import (
     Assign,
     Block,
     Call,
+    Expr,
     ExprStmt,
     If,
     Increment,
+    MethodDecl,
+    Name,
+    New,
     Return,
+    Ternary,
     While,
 )
+from atomguard.pointsto import RETURN_SLOT, AllocationSite, PointsToResult
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +178,131 @@ def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         productions=tuple(kept),
         label=grammar.label,
     )
+
+
+# ---------------------------------------------------------------------------
+# Points-to, with separate walks for locals, allocation sites and value flows
+
+
+def _method_locals(method: MethodDecl) -> frozenset[str]:
+    names = {p.name for p in method.params}
+    for stmt in iter_method_statements(method):
+        if isinstance(stmt, Assign) and stmt.declares:
+            names.add(stmt.target)
+    return frozenset(names)
+
+
+def _collect_sites(
+    program: Program,
+) -> tuple[list[AllocationSite], dict[int, AllocationSite]]:
+    module_names = {c.name for c in program.modules}
+    sites: list[AllocationSite] = []
+    by_expr: dict[int, AllocationSite] = {}
+    for c in program.client_classes:
+        for m in c.methods:
+            for stmt in iter_method_statements(m):
+                line = getattr(stmt, "line", m.line)
+                for e in _stmt_exprs(stmt):
+                    for sub in _walk_expr(e):
+                        if isinstance(sub, New) and sub.class_name in module_names:
+                            site = AllocationSite(
+                                index=len(sites),
+                                class_name=sub.class_name,
+                                method=m.name,
+                                file=program.source_name,
+                                line=line,
+                            )
+                            sites.append(site)
+                            by_expr[id(sub)] = site
+    return sites, by_expr
+
+
+def _stmt_exprs(stmt):
+    if isinstance(stmt, Assign):
+        yield stmt.value
+    elif isinstance(stmt, Return) and stmt.value is not None:
+        yield stmt.value
+    else:
+        call = statement_call(stmt)
+        if call is not None:
+            yield call
+
+
+def _walk_expr(e: Expr):
+    yield e
+    if isinstance(e, Ternary):
+        yield from _walk_expr(e.then)
+        yield from _walk_expr(e.other)
+    elif isinstance(e, Call):
+        for a in e.args:
+            yield from _walk_expr(a)
+
+
+def _value_sources(e: Expr):
+    """(site-expr | name) contributors to the value of e, ignoring opaque parts."""
+    if isinstance(e, (New, Name, Call)):
+        yield e
+    elif isinstance(e, Ternary):
+        yield from _value_sources(e.then)
+        yield from _value_sources(e.other)
+
+
+def reference_pointsto(program: Program) -> PointsToResult:
+    """May-point-to sets per variable, as allocation-site indexes.
+
+    Collects each method's locals, then the allocation sites, then the value
+    flows, each in a walk of its own over every method body, and iterates the
+    flows to a fixpoint.
+    """
+    locals_of = {name: _method_locals(m) for name, m in program.client_methods.items()}
+    result = PointsToResult(sites=[], may={}, _locals=locals_of)
+    sites, by_expr = _collect_sites(program)
+    result.sites = sites
+
+    seeds: list[tuple[str, int]] = []  # (var key, site index)
+    copies: list[tuple[str, str]] = []  # (source key, dest key)
+
+    def add_source(dest_key: str, method: MethodDecl, e: Expr) -> None:
+        for src in _value_sources(e):
+            if isinstance(src, New):
+                site = by_expr.get(id(src))
+                if site is not None:
+                    seeds.append((dest_key, site.index))
+            elif isinstance(src, Name):
+                copies.append((result.var_key(method.name, src.id), dest_key))
+            elif isinstance(src, Call) and src.receiver is None:
+                copies.append((f"{src.method}:{RETURN_SLOT}", dest_key))
+
+    for _, m in sorted(program.client_methods.items()):
+        for stmt in iter_method_statements(m):
+            if isinstance(stmt, Assign):
+                add_source(result.var_key(m.name, stmt.target), m, stmt.value)
+            elif isinstance(stmt, Return) and stmt.value is not None:
+                add_source(f"{m.name}:{RETURN_SLOT}", m, stmt.value)
+            call = statement_call(stmt)
+            if call is not None and call.receiver is None:
+                callee = program.client_methods[call.method]
+                for param, arg in zip(callee.params, call.args):
+                    dest = f"{callee.name}:{param.name}"
+                    add_source(dest, m, arg)
+
+    may: dict[str, set[int]] = {}
+    for key, idx in seeds:
+        may.setdefault(key, set()).add(idx)
+    changed = True
+    while changed:
+        changed = False
+        for src, dest in copies:
+            src_set = may.get(src)
+            if not src_set:
+                continue
+            dest_set = may.setdefault(dest, set())
+            before = len(dest_set)
+            dest_set |= src_set
+            if len(dest_set) != before:
+                changed = True
+    result.may = {k: frozenset(v) for k, v in may.items()}
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from atomguard import (
     build_behavior_grammar,
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
-    collect_allocation_sites,
     compute_pointsto,
     dump_grammar,
     parse_dump,
@@ -185,16 +184,15 @@ def every_grammar(prog):
     """Plain, per-site and class-scope grammars of every module, with and
     without each allocation site."""
     result = compute_pointsto(prog)
-    sites = collect_allocation_sites(prog)
     for module in prog.modules:
         for entry in sorted(m.name for m in prog.client_methods.values() if m.is_thread):
             yield build_behavior_grammar(prog, entry, module)
-            for site in sites:
+            for site in result.sites:
                 yield build_behavior_grammar_pointsto(prog, entry, module, site, result)
         for cls in prog.client_classes:
             if cls.methods:
                 yield build_class_scope_grammar(prog, cls, module)
-                for site in sites:
+                for site in result.sites:
                     yield build_class_scope_grammar(
                         prog, cls, module, site=site, pointsto=result
                     )
@@ -215,6 +213,7 @@ def test_simplify_matches_reference_on_random_programs(seed):
     grammars = list(every_grammar(prog))
     assert len(grammars) >= 4, "plain, per-site and class-scope, with and without site"
     for grammar in grammars:
+        assert len(set(grammar.productions)) == len(grammar.productions)
         assert_simplifies_like_reference(grammar)
 
 
@@ -223,6 +222,7 @@ def test_simplify_matches_reference_on_bundled_programs():
     count = 0
     for path in paths:
         for grammar in every_grammar(parse_program(path.read_text(), path.name)):
+            assert len(set(grammar.productions)) == len(grammar.productions)
             assert_simplifies_like_reference(grammar)
             count += 1
     assert count > 100
@@ -264,7 +264,7 @@ def test_single_site_grammar_equals_plain():
     prog = load_program("nested_calls.mg")
     module = prog.modules[0]
     result = compute_pointsto(prog)
-    sites = collect_allocation_sites(prog)
+    sites = result.sites
     assert len(sites) == 1
     refined = build_behavior_grammar_pointsto(prog, "run", module, sites[0], result)
     plain = build_behavior_grammar(prog, "run", module)
@@ -282,7 +282,7 @@ def test_ambiguous_receiver_keeps_call_and_skip():
     )
     prog = parse_program(src, "t.mg")
     result = compute_pointsto(prog)
-    for site in collect_allocation_sites(prog):
+    for site in result.sites:
         grammar = build_behavior_grammar_pointsto(
             prog, "run", prog.modules[0], site, result
         )
@@ -302,7 +302,7 @@ def test_foreign_receiver_calls_are_skipped():
     )
     prog = parse_program(src, "t.mg")
     result = compute_pointsto(prog)
-    sites = collect_allocation_sites(prog)
+    sites = result.sites
     languages = [
         bounded_language(
             build_behavior_grammar_pointsto(prog, "run", prog.modules[0], s, result), 3
@@ -327,7 +327,7 @@ def test_unknown_receiver_keeps_both_alternatives():
     )
     prog = parse_program(src, "t.mg")
     result = compute_pointsto(prog)
-    (site,) = collect_allocation_sites(prog)
+    (site,) = result.sites
     assert result.may_sites("f", "m") == frozenset(), "global m is never assigned"
     grammar = build_behavior_grammar_pointsto(prog, "run", prog.modules[0], site, result)
     assert bounded_language(grammar, 3) == {(), ("a",), ("b",), ("a", "b")}

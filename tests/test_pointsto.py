@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import atomguard.pointsto
 from atomguard import (
-    collect_allocation_sites,
     compute_pointsto,
     module_alloc_sites,
     parse_program,
     verify,
 )
-from conftest import CORPUS, load_program
+from conftest import CORPUS, PROGRAMS, load_program
 from generators import random_program
+from oracles import reference_pointsto
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -20,7 +25,7 @@ MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 def test_single_assignment_is_a_must_point():
     src = MODULE + "class C {\n  thread void run() {\n    m = new M();\n    m.a();\n  }\n}\n"
     prog = parse_program(src, "t.mg")
-    sites = collect_allocation_sites(prog)
+    sites = compute_pointsto(prog).sites
     assert len(sites) == 1
     site = sites[0]
     assert site.class_name == "M"
@@ -124,7 +129,7 @@ def test_only_module_allocations_are_tracked():
         "}\n"
     )
     prog = parse_program(src, "t.mg")
-    sites = collect_allocation_sites(prog)
+    sites = compute_pointsto(prog).sites
     assert [s.class_name for s in sites] == ["M"]
 
 
@@ -144,7 +149,7 @@ def test_module_alloc_sites_require_a_pointing_receiver():
     prog = parse_program(src, "t.mg")
     result = compute_pointsto(prog)
     module = prog.modules[0]
-    assert collect_allocation_sites(prog), "the allocation itself is visible"
+    assert result.sites, "the allocation itself is visible"
     assert module_alloc_sites(prog, ["run", "f"], module, result) == []
     # The analysis falls back to the unrefined grammar and still reports.
     assert [v.lca_method for v in verify(prog)] == ["f"]
@@ -178,3 +183,119 @@ def test_refinement_never_adds_violations_with_shared_receivers():
         on = parse_program(text, f"seed{seed}.mg")
         off = parse_program(text, f"seed{seed}.mg")
         assert _identities(on, True) <= _identities(off, False), seed
+
+
+# ---------------------------------------------------------------------------
+# the single walk against the three-walk reference
+
+
+def assert_pointsto_like_reference(prog):
+    got, want = compute_pointsto(prog), reference_pointsto(prog)
+    assert got.sites == want.sites
+    assert got.may == want.may
+    assert got._locals == want._locals
+
+
+# Client classes with several allocation sites each, in the expression
+# positions the walk treats differently.
+SHAPES = {
+    "ternary-branch": (
+        "class C {\n"
+        "  thread void run() {\n"
+        "    var n = new M();\n"
+        "    m = cond ? new M() : (cond ? n : new M());\n"
+        "    m.a();\n"
+        "  }\n"
+        "}\n"
+    ),
+    "client-call-argument": (
+        "class C {\n"
+        "  thread void run() {\n"
+        "    var m = new M();\n"
+        "    use(new M(), m, new M());\n"
+        "    x = pick(m, cond ? new M() : m);\n"
+        "    x.b();\n"
+        "  }\n"
+        "  void use(M p, M q) {\n"
+        "    p.a();\n"
+        "    q.b();\n"
+        "  }\n"
+        "  M pick(M p, M q) {\n"
+        "    return cond ? p : q;\n"
+        "  }\n"
+        "}\n"
+    ),
+    "module-call-argument": (
+        "class C {\n"
+        "  thread void run() {\n"
+        "    m = new M();\n"
+        "    m.a(new M());\n"
+        "    x = m.b(cond ? new M() : m);\n"
+        "    while (m.a(new M())) {\n"
+        "      m.b();\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+    ),
+    "returned-allocation": (
+        "class C {\n"
+        "  thread void run() {\n"
+        "    var m = make();\n"
+        "    m.a();\n"
+        "    n = make();\n"
+        "    n.b();\n"
+        "  }\n"
+        "  M make() {\n"
+        "    if (cond) {\n"
+        "      return new M();\n"
+        "    }\n"
+        "    return cond ? new M() : g;\n"
+        "  }\n"
+        "}\n"
+    ),
+    "var-after-assignment": (
+        "class Z {\n"
+        "  thread void run() {\n"
+        "    m = new M();\n"
+        "    m.a();\n"
+        "    var m = new M();\n"
+        "    m.b();\n"
+        "    f();\n"
+        "  }\n"
+        "}\n"
+        "class A {\n"
+        "  void f() {\n"
+        "    m.a();\n"
+        "    m = new M();\n"
+        "  }\n"
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pointsto_matches_reference_on_multi_site_shapes(shape, monkeypatch):
+    prog = parse_program(MODULE + SHAPES[shape], "t.mg")
+    assert len(reference_pointsto(prog).sites) >= 2
+    walks = []
+    walk = atomguard.pointsto.iter_method_statements
+
+    def counting(method):
+        walks.append(method.name)
+        return walk(method)
+
+    monkeypatch.setattr(atomguard.pointsto, "iter_method_statements", counting)
+    assert_pointsto_like_reference(prog)
+    assert sorted(walks) == sorted(prog.client_methods), "one walk per client method"
+
+
+def test_pointsto_matches_reference_on_bundled_programs():
+    for path in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg")):
+        assert_pointsto_like_reference(parse_program(path.read_text(), path.name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pointsto_matches_reference_on_random_programs(seed):
+    text, _ = random_program(random.Random(seed))
+    assert_pointsto_like_reference(parse_program(text, f"seed{seed}.mg"))

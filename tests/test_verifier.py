@@ -13,6 +13,7 @@ from atomguard import (
     AtomguardError,
     compute_atomically_executed,
     mark_atomic,
+    parse_contract,
     parse_program,
     render_report,
     verify,
@@ -200,6 +201,17 @@ def test_verify_requires_a_module():
         verify(prog)
     with pytest.raises(AtomguardError):
         verify(load_program("branching_client.mg"), module="Client")
+
+
+def test_contract_needs_its_module():
+    prog = parse_program(
+        MODULE + "class C {\n  thread void run() { m = new M(); m.b(); m.a(); }\n}\n", "t.mg"
+    )
+    reversed_ab = parse_contract('"b a"', {"a", "b"})
+    assert verify(prog) == []
+    with pytest.raises(AtomguardError, match="needs the module"):
+        verify(prog, contract=reversed_ab)
+    assert [v.word for v in verify(prog, "M", reversed_ab)] == [("b", "a")]
 
 
 def test_violation_fields_are_consistent():
