@@ -444,7 +444,12 @@ def _resolve(program: Program, filename: str) -> None:
                     continue
                 calls.append(call)
                 if call.receiver is None:
-                    if call.method in program.client_methods:
+                    callee = program.client_methods.get(call.method)
+                    if callee is not None:
+                        given, wanted = len(call.args), len(callee.params)
+                        if given != wanted:
+                            message = f"{call.method}() takes {wanted} argument(s), got {given}"
+                            raise SourceSyntaxError(message, filename, call.line, call.column)
                         continue
                     if call.method in program.module_methods:
                         raise UnresolvedMethodError(

@@ -15,7 +15,7 @@ lowest common ancestor of the word's occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production

@@ -11,6 +11,9 @@ productions by kind:
 
 The start symbol is the thread entry's method symbol, so the language is
 exactly the set of module call sequences the thread can perform.
+
+Each method is lowered to its call and skip productions once per check; a
+grammar for one module, unit and allocation site selects among them.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import AtomguardError
-from .frontend.cfg import Cfg, NodeKind, build_cfg
-from .frontend.syntax import ClassDecl, MethodDecl, Program, expr_text
+from .frontend.cfg import NodeKind, build_cfg
+from .frontend.syntax import Call, ClassDecl, MethodDecl, Program, expr_text
 from .pointsto import AllocationSite, PointsToResult
 
 __all__ = [
@@ -139,31 +142,64 @@ def _reachable_methods(
     return seen
 
 
-# id(method) -> (method, its Cfg) while `_shared_cfgs` is active; holding the
-# method keeps its id from being reused by another object.
-_CFGS: ContextVar[Optional[dict[int, tuple[MethodDecl, Cfg]]]] = ContextVar(
-    "atomguard_cfgs", default=None
+# id(method) -> (method, its lowering) while `_shared_lowering` is active;
+# holding the method keeps its id from being reused by another object.  A
+# lowering is the method's rule `@f -> f.0` and, per CFG node, the node's
+# call (or None), its call productions (`n -> h succ` sharing one `CallSite`,
+# or `n -> @g succ`) and its skip productions (`n -> succ`, or `n -> epsilon`
+# at a return).  Grammars select among these and share them.
+_Lowered = tuple[Production, tuple[tuple[Optional[Call], tuple, tuple], ...]]
+_LOWERED: ContextVar[Optional[dict[int, tuple[MethodDecl, _Lowered]]]] = ContextVar(
+    "atomguard_lowered", default=None
 )
 
 
 @contextmanager
-def _shared_cfgs() -> Iterator[None]:
-    """Within the block, the grammar builders build each method's CFG once
-    and share it; the CFGs are dropped when the block ends."""
-    token = _CFGS.set({})
+def _shared_lowering() -> Iterator[None]:
+    """Within the block, the grammar builders lower each method once and
+    share it; the lowered methods are dropped when the block ends."""
+    token = _LOWERED.set({})
     try:
         yield
     finally:
-        _CFGS.reset(token)
+        _LOWERED.reset(token)
 
 
-def _method_cfg(method: MethodDecl) -> Cfg:
-    cache = _CFGS.get()
+def _lower(program: Program, method: MethodDecl) -> _Lowered:
+    name = method.name
+    nodes = []
+    for node in build_cfg(method).nodes:
+        sym = _node_symbol(name, node.index)
+        succs = [_node_symbol(name, s) for s in node.succ]
+        skips = tuple(Production(sym, (s,)) for s in succs)
+        if node.kind is NodeKind.RETURN:
+            skips = (Production(sym, ()),)
+        call, calls = node.call, ()
+        if call is not None:
+            first, cs = _method_symbol(call.method), None  # client call
+            if call.receiver is not None:
+                first = call.method
+                cs = CallSite(
+                    node=sym,
+                    method=call.method,
+                    file=program.source_name,
+                    line=call.line,
+                    receiver=call.receiver,
+                    args=tuple(expr_text(a) for a in call.args),
+                    result=node.result_var,
+                )
+            calls = tuple(Production(sym, (first, s), (cs, None)) for s in succs)
+        nodes.append((call, calls, skips))
+    return Production(_method_symbol(name), (_node_symbol(name, 0),)), tuple(nodes)
+
+
+def _lowered(program: Program, method: MethodDecl) -> _Lowered:
+    cache = _LOWERED.get()
     if cache is None:
-        return build_cfg(method)
+        return _lower(program, method)
     hit = cache.get(id(method))
     if hit is None:
-        hit = cache[id(method)] = (method, build_cfg(method))
+        hit = cache[id(method)] = (method, _lower(program, method))
     return hit[1]
 
 
@@ -197,7 +233,7 @@ def _build(
 ) -> BehaviorGrammar:
     module_method_names = {m.name for m in module.methods}
     reach = _reachable_methods(program, [m.name for m in roots], scope)
-    cfgs = {name: _method_cfg(program.client_methods[name]) for name in reach}
+    reached = set(reach)
 
     prods: list[Production] = []
     if start.startswith(SCOPE_START_PREFIX):
@@ -205,60 +241,26 @@ def _build(
             prods.append(Production(start, (_method_symbol(m.name),)))
 
     for name in reach:
-        cfg = cfgs[name]
-        prods.append(Production(_method_symbol(name), (_node_symbol(name, 0),)))
-        for node in cfg.nodes:
-            sym = _node_symbol(name, node.index)
-            succs = [_node_symbol(name, s) for s in node.succ]
-            if node.kind is NodeKind.RETURN:
-                prods.append(Production(sym, ()))
-                continue
-            if (
-                node.kind is NodeKind.MODULE_CALL
-                and node.call is not None
-                and node.call.method in module_method_names
-            ):
-                emit_call, emit_skip = True, False
-                if site is not None and pointsto is not None:
-                    may = pointsto.may_sites(name, node.call.receiver)
-                    if not may:
-                        # Unknown receiver: no tracked allocation reaches it,
-                        # so it could be anything.  Keep both alternatives.
-                        emit_call, emit_skip = True, True
-                    elif site.index in may:
-                        emit_call, emit_skip = True, len(may) > 1
-                    else:
-                        emit_call, emit_skip = False, True
-                if emit_call:
-                    cs = CallSite(
-                        node=sym,
-                        method=node.call.method,
-                        file=program.source_name,
-                        line=node.call.line,
-                        receiver=node.call.receiver,
-                        args=tuple(expr_text(a) for a in node.call.args),
-                        result=node.result_var,
-                    )
-                    for s in succs:
-                        prods.append(
-                            Production(sym, (node.call.method, s), (cs, None))
-                        )
-                if emit_skip:
-                    for s in succs:
-                        prods.append(Production(sym, (s,)))
-                continue
-            if (
-                node.kind is NodeKind.CLIENT_CALL
-                and node.call is not None
-                and node.call.method in reach
-            ):
-                callee = _method_symbol(node.call.method)
-                for s in succs:
-                    prods.append(Production(sym, (callee, s)))
-                continue
-            # entry, plain statements, calls outside the analyzed scope
-            for s in succs:
-                prods.append(Production(sym, (s,)))
+        rule, nodes = _lowered(program, program.client_methods[name])
+        prods.append(rule)
+        for call, calls, skips in nodes:
+            if call is None:  # entry, return, plain statement
+                prods += skips
+            elif call.receiver is None:  # client call, opaque outside the scope
+                prods += calls if call.method in reached else skips
+            elif call.method not in module_method_names:
+                prods += skips
+            elif site is None or pointsto is None:
+                prods += calls
+            else:
+                # Call if the receiver may be the site, or is unknown (no
+                # tracked allocation reaches it, so it could be anything);
+                # skip unless it must be the site.
+                may = pointsto.may_sites(name, call.receiver)
+                if site.index in may or not may:
+                    prods += calls
+                if may != {site.index}:
+                    prods += skips
 
     return BehaviorGrammar(
         start=start,
@@ -270,32 +272,22 @@ def _build(
 
 def build_behavior_grammar(program: Program, entry, module) -> BehaviorGrammar:
     """Grammar of the module call sequences one thread can perform."""
-    module_cls = _resolve_module(program, module)
-    entry_decl = _resolve_method(program, entry)
-    return _build(
-        program,
-        module_cls,
-        [entry_decl],
-        _method_symbol(entry_decl.name),
-        scope=None,
-        site=None,
-        pointsto=None,
-        label=entry_decl.name,
-    )
+    return build_behavior_grammar_pointsto(program, entry, module, None, None)
 
 
 def build_behavior_grammar_pointsto(
     program: Program,
     entry,
     module,
-    site: AllocationSite,
-    pointsto: PointsToResult,
+    site: Optional[AllocationSite],
+    pointsto: Optional[PointsToResult],
 ) -> BehaviorGrammar:
     """Thread grammar restricted to calls whose receiver may be `site`.
 
     Calls whose receiver must point to the site keep only their call
     production; calls that may point there keep both the call and a skip
-    production; calls that cannot point there are skipped entirely.
+    production; calls that cannot point there are skipped entirely.  Without
+    a site (or points-to result) every call is kept.
     """
     module_cls = _resolve_module(program, module)
     entry_decl = _resolve_method(program, entry)

@@ -33,7 +33,7 @@ from .grammar import (
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
     _reachable_methods,
-    _shared_cfgs,
+    _shared_lowering,
     simplify_grammar,
     symbol_method,
 )
@@ -213,7 +213,7 @@ def grammar_stage(
 
     units = _units(program, class_scope)
     pointsto = compute_pointsto(program) if points_to else None
-    with _shared_cfgs():
+    with _shared_lowering():
         for mod in modules:
             if contract is not None:
                 mod_contract = contract

@@ -8,6 +8,7 @@ helpers), at most one method contains a loop, and bodies stay small.
 from __future__ import annotations
 
 import random
+import re
 
 TERMINALS = ("a", "b", "c", "d")
 
@@ -37,6 +38,14 @@ def random_program(rng: random.Random) -> tuple[str, tuple[str, ...]]:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n", terms
+
+
+def two_receivers(text: str, rng: random.Random) -> str:
+    """A `random_program` text with a second module object: `n = new M();`
+    follows `m = new M();` in t0, and `rng` moves about half of the calls on
+    `m` to `n`.  Each call stays on a line of its own."""
+    text = text.replace("    m = new M();\n", "    m = new M();\n    n = new M();\n", 1)
+    return re.sub(r"\bm\.", lambda _: "n." if rng.random() < 0.5 else "m.", text)
 
 
 class _MethodGen:

@@ -4,22 +4,25 @@ Everything in this module recomputes expected results from first principles,
 without going through the grammar or parser pipelines under test: clause
 expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, and structural
-checks on parse trees.  It also keeps the original quadratic grammar
-simplification and the original three-walk points-to analysis as the
-references the pipeline's versions must reproduce.
+checks on parse trees.  It also keeps the original per-grammar CFG walk, the
+original quadratic grammar simplification and the original three-walk
+points-to analysis as the references the pipeline's versions must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from atomguard import BehaviorGrammar, ParseTree, Production, Program
+from atomguard import BehaviorGrammar, CallSite, ParseTree, Production, Program
+from atomguard.frontend.cfg import NodeKind, build_cfg
 from atomguard.frontend.parser import iter_method_statements, statement_call
 from atomguard.frontend.syntax import (
     Assign,
     Block,
     Call,
+    ClassDecl,
     Expr,
     ExprStmt,
     If,
@@ -30,6 +33,13 @@ from atomguard.frontend.syntax import (
     Return,
     Ternary,
     While,
+    expr_text,
+)
+from atomguard.grammar import (
+    SCOPE_START_PREFIX,
+    _method_symbol,
+    _node_symbol,
+    _reachable_methods,
 )
 from atomguard.pointsto import RETURN_SLOT, AllocationSite, PointsToResult
 
@@ -177,6 +187,96 @@ def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         terminals=grammar.terminals,
         productions=tuple(kept),
         label=grammar.label,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Grammar building, one CFG walk per grammar
+
+
+def reference_build(
+    program: Program,
+    module: ClassDecl,
+    roots: list[MethodDecl],
+    start: str,
+    scope: Optional[frozenset[str]],
+    site: Optional[AllocationSite],
+    pointsto: Optional[PointsToResult],
+    label: str,
+) -> BehaviorGrammar:
+    """The grammar `atomguard.grammar._build` must produce for these
+    arguments: walks every reachable method's CFG and builds each production
+    and `CallSite` anew, deciding call, skip or both at each module call."""
+    module_method_names = {m.name for m in module.methods}
+    reach = _reachable_methods(program, [m.name for m in roots], scope)
+    cfgs = {name: build_cfg(program.client_methods[name]) for name in reach}
+
+    prods: list[Production] = []
+    if start.startswith(SCOPE_START_PREFIX):
+        for m in roots:
+            prods.append(Production(start, (_method_symbol(m.name),)))
+
+    for name in reach:
+        cfg = cfgs[name]
+        prods.append(Production(_method_symbol(name), (_node_symbol(name, 0),)))
+        for node in cfg.nodes:
+            sym = _node_symbol(name, node.index)
+            succs = [_node_symbol(name, s) for s in node.succ]
+            if node.kind is NodeKind.RETURN:
+                prods.append(Production(sym, ()))
+                continue
+            if (
+                node.kind is NodeKind.MODULE_CALL
+                and node.call is not None
+                and node.call.method in module_method_names
+            ):
+                emit_call, emit_skip = True, False
+                if site is not None and pointsto is not None:
+                    may = pointsto.may_sites(name, node.call.receiver)
+                    if not may:
+                        # Unknown receiver: no tracked allocation reaches it,
+                        # so it could be anything.  Keep both alternatives.
+                        emit_call, emit_skip = True, True
+                    elif site.index in may:
+                        emit_call, emit_skip = True, len(may) > 1
+                    else:
+                        emit_call, emit_skip = False, True
+                if emit_call:
+                    cs = CallSite(
+                        node=sym,
+                        method=node.call.method,
+                        file=program.source_name,
+                        line=node.call.line,
+                        receiver=node.call.receiver,
+                        args=tuple(expr_text(a) for a in node.call.args),
+                        result=node.result_var,
+                    )
+                    for s in succs:
+                        prods.append(
+                            Production(sym, (node.call.method, s), (cs, None))
+                        )
+                if emit_skip:
+                    for s in succs:
+                        prods.append(Production(sym, (s,)))
+                continue
+            if (
+                node.kind is NodeKind.CLIENT_CALL
+                and node.call is not None
+                and node.call.method in reach
+            ):
+                callee = _method_symbol(node.call.method)
+                for s in succs:
+                    prods.append(Production(sym, (callee, s)))
+                continue
+            # entry, plain statements, calls outside the analyzed scope
+            for s in succs:
+                prods.append(Production(sym, (s,)))
+
+    return BehaviorGrammar(
+        start=start,
+        terminals=frozenset(module_method_names),
+        productions=tuple(prods),
+        label=label,
     )
 
 
@@ -598,13 +698,51 @@ def oracle_results(
             window = trace[start : start + len(word)]
             if tuple(e.method for e in window) != word:
                 continue
-            chains = [e.frames for e in window]
-            prefix = 0
-            while all(len(c) > prefix for c in chains) and len({c[prefix] for c in chains}) == 1:
-                prefix += 1
-            lca = chains[0][prefix - 1][0]
+            lca = _lca_method(window)
             found.add((lca, lca not in ae))
     return found
+
+
+def oracle_receiver_violations(
+    program: Program, entry: str, word: tuple[str, ...], loop_bound: int = 2
+) -> set[tuple[tuple[str, ...], str, tuple[int, ...]]]:
+    """(word, lca method, call lines) of every violation of `word` on one
+    module object, for programs whose receivers each hold one allocation.
+
+    Every bounded trace is projected onto each receiver's calls, a call's
+    line naming its receiver (callers keep one call per line); each
+    contiguous occurrence of `word` in a projection whose deepest shared
+    frame's method is not atomically executed is a violation.
+    """
+    receiver_of = {
+        call.line: call.receiver
+        for method in program.client_methods.values()
+        for stmt in _all_statements([method.body])
+        for call in _stmt_calls(stmt)
+        if call.receiver is not None
+    }
+    ae = oracle_atomically_executed(program)
+    found: set[tuple[tuple[str, ...], str, tuple[int, ...]]] = set()
+    for trace in bounded_traces(program, entry, loop_bound):
+        for receiver in set(receiver_of.values()):
+            calls = [e for e in trace if receiver_of[e.line] == receiver]
+            for start in range(len(calls) - len(word) + 1):
+                window = calls[start : start + len(word)]
+                if tuple(e.method for e in window) != word:
+                    continue
+                lca = _lca_method(window)
+                if lca not in ae:
+                    found.add((word, lca, tuple(e.line for e in window)))
+    return found
+
+
+def _lca_method(window: Sequence[TraceEvent]) -> str:
+    """The method of the deepest frame every event of the window shares."""
+    chains = [e.frames for e in window]
+    prefix = 0
+    while all(len(c) > prefix for c in chains) and len({c[prefix] for c in chains}) == 1:
+        prefix += 1
+    return chains[0][prefix - 1][0]
 
 
 # ---------------------------------------------------------------------------

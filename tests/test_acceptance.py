@@ -30,7 +30,7 @@ from atomguard import (
     verify_with_stats,
 )
 from conftest import CORPUS, load_program
-from generators import random_program, random_word
+from generators import random_program, random_word, two_receivers
 from goldens import (
     ALTERNATING_LOOP_OPTIMIZED,
     ALTERNATING_LOOP_RAW,
@@ -42,6 +42,7 @@ from oracles import (
     assert_tree_pruned,
     bounded_traces,
     find_nonterminal_bijection,
+    oracle_receiver_violations,
     oracle_results,
 )
 
@@ -171,6 +172,27 @@ def test_criterion_6_randomized_oracle_battle():
     elapsed = time.monotonic() - start
     assert cases >= 500
     print(f"criterion 6: PASS {cases} random cases matched the oracle ({elapsed:.1f}s)")
+
+
+def test_criterion_6_per_site_oracle_battle():
+    """With two module objects in every random program, the full pipeline's
+    per-site grammars report exactly the violations that projecting each
+    bounded trace onto one object's calls finds."""
+    start = time.monotonic()
+    reports = 0
+    for seed in range(150):
+        text, terms = random_program(random.Random(seed))
+        text = two_receivers(text, random.Random(f"receivers{seed}"))
+        program = parse_program(text, f"seed{seed}.mg")
+        word = (terms[0], terms[-1])  # the contract clause
+        expected = oracle_receiver_violations(program, "t0", word, loop_bound=4)
+        violations, _ = verify_with_stats(program)
+        got = {(v.word, v.lca_method, tuple(c.line for c in v.calls)) for v in violations}
+        assert got == expected, seed
+        reports += len(got)
+    elapsed = time.monotonic() - start
+    assert reports > 50, "the battle must actually find violations"
+    print(f"criterion 6: PASS {reports} per-site violations matched the oracle ({elapsed:.1f}s)")
 
 
 def test_criterion_7_trees_are_loop_pruned():

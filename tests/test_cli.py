@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 import atomguard.frontend.parser
+import atomguard.grammar
 import atomguard.verifier
 from atomguard.cli import run, run_corpus
 from conftest import CORPUS, PACKAGE_DATA, PROGRAMS
@@ -161,6 +162,39 @@ def test_corpus_unreadable_integer_literal_exits_two(tmp_path, capsys, literal):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert out.startswith("atomguard: pair: ") and "8:5: invalid integer literal" in out
+
+
+def calling_use(args: str) -> str:
+    """MODULE_AB and a thread calling `use(M p, M q)` with `args` at 8:5."""
+    return client(f"    use({args});\n")[: -len("}\n")] + "  void use(M p, M q) { p.a(); q.b(); }\n}\n"
+
+
+ARGUMENT_COUNTS = {
+    "too-many": ("m, m, new M()", "use() takes 2 argument(s), got 3"),
+    "too-few": ("", "use() takes 2 argument(s), got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_COUNTS))
+def test_client_call_argument_count_exits_two(tmp_path, capsys, case):
+    args, message = ARGUMENT_COUNTS[case]
+    bad = tmp_path / "bad.mg"
+    bad.write_text(calling_use(args))
+    assert run(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"atomguard: {bad}:8:5: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_COUNTS))
+def test_corpus_client_call_argument_count_exits_two(tmp_path, capsys, case):
+    args, message = ARGUMENT_COUNTS[case]
+    (tmp_path / "pair.bad.mg").write_text(calling_use(args))
+    (tmp_path / "pair.fixed.mg").write_text(calling_use("m, m"))
+    assert run(["corpus", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("atomguard: pair: ") and f"8:5: {message}" in out
 
 
 def chain(op: str, terms: int, term: str = "1") -> str:
@@ -347,11 +381,16 @@ def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
     assert out.count("# grammar: ") == out.count("# parse table: ") == 4
 
 
-def sites_program(sites: int) -> str:
-    """MODULE_AB and two threads; t1 allocates `sites` objects and calls
-    a and b on each, t2 calls them on the first."""
+def sites_program(sites: int, shared: bool = False) -> str:
+    """MODULE_AB and two threads; t1 allocates `sites` objects and calls a
+    and b on each (with `shared`, copies each into `p` and calls a and b on
+    `p` once), t2 calls them on the first."""
     names = [f"x{i}" for i in range(sites)]
-    t1 = "".join(f"{x} = new M(); " for x in names) + "".join(f"{x}.a(); {x}.b(); " for x in names)
+    t1 = "".join(f"{x} = new M(); " for x in names)
+    if shared:
+        t1 += "".join(f"p = {x}; " for x in names) + "p.a(); p.b(); "
+    else:
+        t1 += "".join(f"{x}.a(); {x}.b(); " for x in names)
     return (
         MODULE_AB
         + "class C {\n"
@@ -374,6 +413,21 @@ def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
         per_size[sites] = walks["iter_method_statements"]
     capsys.readouterr()
     assert per_size[3] == per_size[12] <= 2 * 2, "at most 2 walks per client method"
+
+
+def test_call_sites_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
+    # each module call's CallSite is built once per check and shared by every
+    # grammar; `p` may point to any of t1's sites
+    made = count_layer_calls(monkeypatch, atomguard.grammar, ["CallSite"])
+    per_size = {}
+    for sites in (3, 12):
+        prog = tmp_path / f"sites{sites}.mg"
+        prog.write_text(sites_program(sites, shared=True))
+        made.clear()
+        assert run(["check", str(prog)]) == 1
+        per_size[sites] = made["CallSite"]
+    capsys.readouterr()
+    assert per_size[3] == per_size[12] == 4, "one per module call: p.a, p.b, x0.a, x0.b"
 
 
 def test_clause_less_module_gets_no_dump_section(tmp_path, capsys):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atomguard.grammar
 from atomguard import (
     BehaviorGrammar,
     CallSite,
@@ -18,15 +20,16 @@ from atomguard import (
     build_class_scope_grammar,
     compute_pointsto,
     dump_grammar,
+    grammar_stage,
     parse_dump,
     parse_program,
     simplify_grammar,
     symbol_method,
 )
 from conftest import CORPUS, PROGRAMS, load_program
-from generators import random_program
+from generators import random_program, two_receivers
 from goldens import LOOP_BRANCH_GRAMMAR, RECURSIVE_PAIR_GRAMMAR
-from oracles import find_nonterminal_bijection, reference_simplify_grammar
+from oracles import find_nonterminal_bijection, reference_build, reference_simplify_grammar
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -254,6 +257,79 @@ def test_simplify_splices_every_occurrence_with_its_sites():
     (rule,) = simplify_grammar(grammar).productions
     assert rule.body == ("a", "b", "a", "b", "c")
     assert rule.sites == (a, b, a, b, c)
+
+
+@contextmanager
+def builds_checked_against_reference():
+    """Within the block every grammar build is compared with the reference
+    builder on the same arguments; yields the list of grammars built."""
+    built = []
+    original = atomguard.grammar._build
+
+    def checked(*args, **kwargs):
+        got = original(*args, **kwargs)
+        want = reference_build(*args, **kwargs)
+        assert dump_grammar(got) == dump_grammar(want)
+        assert [p.sites for p in got.productions] == [p.sites for p in want.productions]
+        built.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atomguard.grammar, "_build", checked)
+        yield built
+
+
+def assert_builds_like_reference(prog) -> int:
+    """Build every grammar of the program, through the checker's stream (one
+    shared lowering per run) and standalone, and compare each with the
+    reference; returns how many were compared."""
+    with builds_checked_against_reference() as built:
+        for options in ({}, {"class_scope": True}, {"points_to": False}):
+            for _ in grammar_stage(prog, **options):
+                pass
+        for _ in every_grammar(prog):
+            pass
+    return len(built)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_builders_match_reference_on_random_programs(seed):
+    text, _ = random_program(random.Random(seed))
+    for variant in (text, two_receivers(text, random.Random(seed))):
+        prog = parse_program(variant, f"seed{seed}.mg")
+        assert assert_builds_like_reference(prog) >= 7
+
+
+def test_builders_match_reference_on_bundled_programs():
+    paths = sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))
+    count = sum(
+        assert_builds_like_reference(parse_program(path.read_text(), path.name))
+        for path in paths
+    )
+    assert count > 200
+
+
+def test_builders_match_reference_on_every_selection():
+    # receivers that may be either of two sites (m), that no allocation
+    # reaches (u), that hold another module (k), and a call leaving the class
+    src = MODULE + (
+        'class N contract { "c c" } {\n  void c() { }\n}\n'
+        "class C {\n"
+        "  thread void run() {\n"
+        "    m = cond ? new M() : new M();\n"
+        "    var k = new N();\n"
+        "    m.a(); k.c(); f();\n"
+        "    if (cond) { return; }\n"
+        "    m.b();\n"
+        "  }\n"
+        "  void f() { u.a(); u.b(); g(); }\n"
+        "}\n"
+        "class D {\n"
+        "  void g() { m.b(); }\n"
+        "}\n"
+    )
+    assert assert_builds_like_reference(parse_program(src, "t.mg")) > 20
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ SHAPES = {
         "class C {\n"
         "  thread void run() {\n"
         "    var m = new M();\n"
-        "    use(new M(), m, new M());\n"
+        "    use(new M(), m);\n"
         "    x = pick(m, cond ? new M() : m);\n"
         "    x.b();\n"
         "  }\n"
