@@ -51,6 +51,8 @@ __all__ = ["parse_program"]
 
 MAX_NESTING = 100
 
+_COMPARISONS = frozenset({"==", "!=", "<=", ">=", "<", ">"})
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str):
@@ -70,12 +72,12 @@ class _Parser:
         return SourceSyntaxError(message, self.filename, tok.line, tok.column)
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur
+        t = self.tokens[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            t = self.cur
+        t = self.tokens[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
             self.pos += 1
             return t
         return None
@@ -88,11 +90,12 @@ class _Parser:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.accept(kind, text)
-        if t is None:
-            want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {self.cur.text!r}")
-        return t
+        t = self.tokens[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            self.pos += 1
+            return t
+        want = text if text is not None else kind
+        raise self.error(f"expected {want!r}, found {t.text!r}")
 
     # -- declarations ------------------------------------------------------
 
@@ -173,8 +176,21 @@ class _Parser:
         return Block(stmts)
 
     def statement(self) -> Stmt:
-        t = self.cur
-        if self.at("punct", "{"):
+        t = self.tokens[self.pos]
+        if t.kind == "ident":  # most statements: a call, assignment or increment
+            self.pos += 1
+            name = t.text
+            if self.accept("punct", "="):
+                value = self.expression(call_ok=True)
+                self.expect("punct", ";")
+                return Assign(target=name, value=value, declares=False, line=t.line)
+            if self.accept("punct", "++"):
+                self.expect("punct", ";")
+                return Increment(target=name, line=t.line)
+            call = self.call_suffix(name, t)
+            self.expect("punct", ";")
+            return ExprStmt(call=call, line=t.line)
+        if t.kind == "punct" and t.text == "{":
             return self.block()
         if self.accept("kw", "if"):
             self.expect("punct", "(")
@@ -206,18 +222,6 @@ class _Parser:
                 value = self.expression(call_ok=True)
             self.expect("punct", ";")
             return Assign(target=name, value=value, declares=True, line=t.line)
-        if self.at("ident"):
-            name = self.expect("ident").text
-            if self.accept("punct", "="):
-                value = self.expression(call_ok=True)
-                self.expect("punct", ";")
-                return Assign(target=name, value=value, declares=False, line=t.line)
-            if self.accept("punct", "++"):
-                self.expect("punct", ";")
-                return Increment(target=name, line=t.line)
-            call = self.call_suffix(name, t)
-            self.expect("punct", ";")
-            return ExprStmt(call=call, line=t.line)
         raise self.error(f"unexpected token {t.text!r}")
 
     def call_suffix(self, name: str, t: Token) -> Call:
@@ -280,10 +284,10 @@ class _Parser:
 
     def comparison(self) -> Expr:
         e = self.additive()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at("punct", op):
-                self.expect("punct", op)
-                return Binary(op=op, left=e, right=self.additive())
+        t = self.tokens[self.pos]
+        if t.kind == "punct" and t.text in _COMPARISONS:
+            self.pos += 1
+            return Binary(op=t.text, left=e, right=self.additive())
         return e
 
     def additive(self) -> Expr:
@@ -399,8 +403,10 @@ def statement_exprs(stmt: Stmt):
         yield from _iter_exprs(stmt.value)
     elif isinstance(stmt, Assign):
         yield from _iter_exprs(stmt.value)
-    elif statement_call(stmt) is not None:
-        yield from _iter_exprs(statement_call(stmt))
+    else:
+        call = statement_call(stmt)
+        if call is not None:
+            yield from _iter_exprs(call)
 
 
 def _resolve(program: Program, filename: str) -> None:

@@ -142,13 +142,29 @@ def _reachable_methods(
     return seen
 
 
+@dataclass(slots=True)
+class _LoweredNode:
+    """One CFG node as grammars select it: the node's call (None at entry,
+    return and plain statements), its call productions (`n -> h succ` sharing
+    one `CallSite`, or `n -> @g succ`) and its skip productions (`n -> succ`,
+    or `n -> epsilon` at a return).  A call node builds its skips the first
+    time a grammar selects them: most calls are only ever taken."""
+
+    call: Optional[Call]
+    calls: tuple[Production, ...]
+    _skips: Optional[tuple[Production, ...]]
+
+    def skips(self) -> tuple[Production, ...]:
+        if self._skips is None:  # a call node: each call production minus its call
+            self._skips = tuple(Production(p.head, p.body[1:]) for p in self.calls)
+        return self._skips
+
+
 # id(method) -> (method, its lowering) while `_shared_lowering` is active;
 # holding the method keeps its id from being reused by another object.  A
-# lowering is the method's rule `@f -> f.0` and, per CFG node, the node's
-# call (or None), its call productions (`n -> h succ` sharing one `CallSite`,
-# or `n -> @g succ`) and its skip productions (`n -> succ`, or `n -> epsilon`
-# at a return).  Grammars select among these and share them.
-_Lowered = tuple[Production, tuple[tuple[Optional[Call], tuple, tuple], ...]]
+# lowering is the method's rule `@f -> f.0` and its lowered CFG nodes.
+# Grammars select among their productions and share them.
+_Lowered = tuple[Production, tuple[_LoweredNode, ...]]
 _LOWERED: ContextVar[Optional[dict[int, tuple[MethodDecl, _Lowered]]]] = ContextVar(
     "atomguard_lowered", default=None
 )
@@ -157,7 +173,8 @@ _LOWERED: ContextVar[Optional[dict[int, tuple[MethodDecl, _Lowered]]]] = Context
 @contextmanager
 def _shared_lowering() -> Iterator[None]:
     """Within the block, the grammar builders lower each method once and
-    share it; the lowered methods are dropped when the block ends."""
+    share it, skip productions included once built; the lowered methods are
+    dropped when the block ends."""
     token = _LOWERED.set({})
     try:
         yield
@@ -171,11 +188,12 @@ def _lower(program: Program, method: MethodDecl) -> _Lowered:
     for node in build_cfg(method).nodes:
         sym = _node_symbol(name, node.index)
         succs = [_node_symbol(name, s) for s in node.succ]
-        skips = tuple(Production(sym, (s,)) for s in succs)
-        if node.kind is NodeKind.RETURN:
-            skips = (Production(sym, ()),)
-        call, calls = node.call, ()
-        if call is not None:
+        call, calls, skips = node.call, (), None
+        if call is None:
+            skips = tuple(Production(sym, (s,)) for s in succs)
+            if node.kind is NodeKind.RETURN:
+                skips = (Production(sym, ()),)
+        else:
             first, cs = _method_symbol(call.method), None  # client call
             if call.receiver is not None:
                 first = call.method
@@ -189,7 +207,7 @@ def _lower(program: Program, method: MethodDecl) -> _Lowered:
                     result=node.result_var,
                 )
             calls = tuple(Production(sym, (first, s), (cs, None)) for s in succs)
-        nodes.append((call, calls, skips))
+        nodes.append(_LoweredNode(call, calls, skips))
     return Production(_method_symbol(name), (_node_symbol(name, 0),)), tuple(nodes)
 
 
@@ -243,24 +261,25 @@ def _build(
     for name in reach:
         rule, nodes = _lowered(program, program.client_methods[name])
         prods.append(rule)
-        for call, calls, skips in nodes:
+        for node in nodes:
+            call = node.call
             if call is None:  # entry, return, plain statement
-                prods += skips
+                prods += node.skips()
             elif call.receiver is None:  # client call, opaque outside the scope
-                prods += calls if call.method in reached else skips
+                prods += node.calls if call.method in reached else node.skips()
             elif call.method not in module_method_names:
-                prods += skips
+                prods += node.skips()
             elif site is None or pointsto is None:
-                prods += calls
+                prods += node.calls
             else:
                 # Call if the receiver may be the site, or is unknown (no
                 # tracked allocation reaches it, so it could be anything);
                 # skip unless it must be the site.
                 may = pointsto.may_sites(name, call.receiver)
                 if site.index in may or not may:
-                    prods += calls
+                    prods += node.calls
                 if may != {site.index}:
-                    prods += skips
+                    prods += node.skips()
 
     return BehaviorGrammar(
         start=start,

@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled data paths and suite ordering.
+"""Shared fixtures: bundled data paths, a wall-clock deadline and suite
+ordering.
 
 The acceptance tests are moved to the end of the run so their suite-level
 timing check covers everything that ran before them.
@@ -6,7 +7,9 @@ timing check covers everything that ran before them.
 
 from __future__ import annotations
 
+import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,22 @@ SESSION_START = time.monotonic()
 def load_program(name: str) -> Program:
     """Parse one bundled program by file name."""
     return parse_program((PROGRAMS / name).read_text(), filename=name)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail, instead of hanging, when the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

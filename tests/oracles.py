@@ -4,9 +4,10 @@ Everything in this module recomputes expected results from first principles,
 without going through the grammar or parser pipelines under test: clause
 expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, and structural
-checks on parse trees.  It also keeps the original per-grammar CFG walk, the
-original quadratic grammar simplification and the original three-walk
-points-to analysis as the references the pipeline's versions must reproduce.
+checks on parse trees.  It also keeps the original character-at-a-time
+tokenizer, the original per-grammar CFG walk, the original quadratic grammar
+simplification and the original three-walk points-to analysis as the
+references the pipeline's versions must reproduce.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from atomguard import BehaviorGrammar, CallSite, ParseTree, Production, Program
+from atomguard import BehaviorGrammar, CallSite, ParseTree, Production, Program, SourceSyntaxError
 from atomguard.frontend.cfg import NodeKind, build_cfg
+from atomguard.frontend.lexer import KEYWORDS, PUNCT, Token
 from atomguard.frontend.parser import iter_method_statements, statement_call
 from atomguard.frontend.syntax import (
     Assign,
@@ -42,6 +44,73 @@ from atomguard.grammar import (
     _reachable_methods,
 )
 from atomguard.pointsto import RETURN_SLOT, AllocationSite, PointsToResult
+
+
+# ---------------------------------------------------------------------------
+# Tokenizing one character at a time
+
+
+def reference_tokenize(source: str, filename: str = "<string>") -> list[Token]:
+    """The original scanner: one loop step per character, `str.startswith`
+    per operator."""
+    tokens: list[Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j >= n or source[j] != '"':
+                raise SourceSyntaxError("unterminated string", filename, line, col)
+            tokens.append(Token("string", source[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(Token("int", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = "kw" if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, line, col))
+            col += j - i
+            i = j
+            continue
+        for op in PUNCT:
+            if source.startswith(op, i):
+                tokens.append(Token("punct", op, line, col))
+                col += len(op)
+                i += len(op)
+                break
+        else:
+            raise SourceSyntaxError(f"unexpected character {ch!r}", filename, line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

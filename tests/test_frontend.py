@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomguard import (
     DuplicateMethodError,
@@ -16,11 +18,12 @@ from atomguard import (
     parse_program,
     verify,
 )
-from atomguard.frontend import NodeKind, build_cfg
+from atomguard.frontend import NodeKind, build_cfg, tokenize
+from atomguard.frontend.lexer import KEYWORDS, PUNCT
 from atomguard.frontend.syntax import Block, If, Return, While
-from conftest import load_program
+from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
-from oracles import oracle_atomically_executed
+from oracles import oracle_atomically_executed, reference_tokenize
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -86,6 +89,70 @@ def test_lexer_error_carries_position():
 def test_parser_error_on_truncated_input():
     with pytest.raises(SourceSyntaxError):
         parse_program(MODULE + "class C {\n  thread void f() {", "t.mg")
+
+
+# ---------------------------------------------------------------------------
+# tokenizing
+
+LEXEMES = sorted(KEYWORDS) + list(PUNCT) + ["x", "_a1", "0", "42", '"a b"', '""', " ", "/"]
+# non-ASCII digits, letters and numbers, characters no lexeme starts with,
+# a lone quote, a comment opener and every whitespace character
+EDGE_CHARACTERS = ["²", "½", "é", "一", "٣", "\x0b", "\f", "$", '"', "//", "\r", "\t", "\n"]
+
+
+def lex_outcome(tokenizer, source: str):
+    """The token list, or the error's message and position."""
+    try:
+        return tokenizer(source, "t.mg")
+    except SourceSyntaxError as e:
+        return (str(e), e.line, e.column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXEMES + EDGE_CHARACTERS), max_size=40).map("".join))
+def test_tokenize_matches_reference_on_random_text(source):
+    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
+
+
+def test_tokenize_matches_reference_on_bundled_and_generated_programs():
+    sources = [path.read_text() for path in sorted(PROGRAMS.glob("*.mg"))]
+    sources += [path.read_text() for path in sorted(CORPUS.glob("*.mg"))]
+    sources += [random_program(random.Random(seed))[0] for seed in range(300)]
+    for source in sources:
+        assert tokenize(source) == reference_tokenize(source)
+
+
+@pytest.mark.parametrize(
+    "source, outcome",
+    [
+        ("class" + " " * 100_000 + "$", ("unexpected character '$'", 1, 100_006)),
+        ("x // " + "c" * 100_000, ["x", ""]),
+        ('x = "' + "s" * 100_000, ("unterminated string", 1, 5)),
+        ("x" + "\t\r" * 50_000 + "y", ["x", "y", ""]),
+    ],
+    ids=["blanks-then-bad-character", "long-comment", "unterminated-string", "tabs-and-crs"],
+)
+def test_tokenize_is_linear_on_long_runs(source, outcome):
+    # A pattern that backtracks over a run takes seconds or more here.
+    with deadline(1.0):
+        try:
+            result = [t.text for t in tokenize(source, "t.mg")]
+        except SourceSyntaxError as e:
+            result = (str(e).split(": ", 1)[1], e.line, e.column)
+    assert result == outcome
+
+
+def test_lexical_rules():
+    tokens = tokenize('xé _1 ٣٣ 1² "a // b" // c', "t.mg")
+    assert [(t.kind, t.text) for t in tokens] == [
+        ("ident", "xé"), ("ident", "_1"), ("int", "٣٣"), ("int", "1²"), ("string", "a // b"),
+        ("eof", ""),
+    ]
+    assert lex_outcome(tokenize, "x\x0by")[0] == "t.mg:1:2: unexpected character '\\x0b'"
+    assert lex_outcome(tokenize, "x ½")[0] == "t.mg:1:3: unexpected character '½'"
+    # a digit run lexes; `int()` rejects the superscript and the parser says so
+    with pytest.raises(SourceSyntaxError, match="invalid integer literal"):
+        parse_program(client("  thread void f() { x = 1²; }"), "t.mg")
 
 
 # ---------------------------------------------------------------------------

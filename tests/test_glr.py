@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import signal
-from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -24,7 +22,7 @@ from atomguard import (
     tree_word,
     verify_with_stats,
 )
-from conftest import load_program
+from conftest import deadline, load_program
 from oracles import assert_tree_pruned, tree_word_count
 
 
@@ -292,22 +290,6 @@ SEARCH_SHAPES = {
         (1, 4, 340),
     ),
 }
-
-
-@contextmanager
-def deadline(seconds: float):
-    """Fail, instead of hanging, when the block runs past `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"search still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
