@@ -54,7 +54,7 @@ class Ternary:
     other: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Call:
     """A call expression.  receiver None means a bare (client) call."""
 

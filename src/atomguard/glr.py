@@ -15,8 +15,8 @@ lowest common ancestor of the word's occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
 
@@ -47,8 +47,12 @@ class ParseTable:
     goto: dict[tuple[int, str], int]
     shift_states: dict[str, tuple[int, ...]]
     goto_sources: dict[str, tuple[tuple[int, int], ...]]
-    complete: tuple[tuple[int, ...], ...]  # per state: completable productions
-    partial: tuple[tuple[tuple[int, int], ...], ...]  # per state: (prod, dot>=1) mid-body
+    # per state, the search's reductions as (production, index, dot): every
+    # complete item before the end of the word; at its end the complete
+    # non-epsilon items, then the items with the dot mid-body (their unseen
+    # right part is context)
+    reduce_mid: tuple[tuple[tuple[Production, int, int], ...], ...]
+    reduce_end: tuple[tuple[tuple[Production, int, int], ...], ...]
 
 
 def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
@@ -107,17 +111,25 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
         else:
             goto_sources.setdefault(sym, []).append((s, t))
 
-    complete: list[tuple[int, ...]] = []
-    partial: list[tuple[tuple[int, int], ...]] = []
+    lengths = [len(p.body) for p in prods]
+    reduce_mid: list[tuple[tuple[Production, int, int], ...]] = []
+    reduce_end: list[tuple[tuple[Production, int, int], ...]] = []
     for state in states:
-        comp = sorted(pi for pi, dot in state if pi != aug and dot == len(prods[pi].body))
-        mid = sorted(
-            (pi, dot)
-            for pi, dot in state
-            if pi != aug and 0 < dot < len(prods[pi].body)
+        complete: list[int] = []
+        partial: list[tuple[int, int]] = []
+        for pi, dot in state:
+            if dot == lengths[pi]:
+                if pi != aug:
+                    complete.append(pi)
+            elif dot:
+                partial.append((pi, dot))
+        complete.sort()
+        partial.sort()
+        at_mid = tuple([(prods[pi], pi, lengths[pi]) for pi in complete])
+        reduce_mid.append(at_mid)
+        reduce_end.append(
+            tuple([r for r in at_mid if r[2]] + [(prods[pi], pi, dot) for pi, dot in partial])
         )
-        complete.append(tuple(comp))
-        partial.append(tuple(mid))
 
     return ParseTable(
         grammar=grammar,
@@ -126,8 +138,8 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
         goto=goto,
         shift_states={k: tuple(v) for k, v in shift_states.items()},
         goto_sources={k: tuple(v) for k, v in goto_sources.items()},
-        complete=tuple(complete),
-        partial=tuple(partial),
+        reduce_mid=tuple(reduce_mid),
+        reduce_end=tuple(reduce_end),
     )
 
 
@@ -135,13 +147,17 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
 # parse trees
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class ParseTree:
     """Node of a (possibly partial) parse.
 
     Terminal leaves have children None.  elided_left/right count body symbols
     hypothesized rather than materialized: they stand for derivations outside
     the matched word.  count is the number of word terminals in the subtree.
+    eq_syms are the symbols on the path down from this node through children
+    covering the same terminals; z_syms, for a node covering none, are all
+    the symbols of its subtree.  The search drops a reduction whose head is
+    among the ones its children pass up.
     """
 
     symbol: str
@@ -153,104 +169,99 @@ class ParseTree:
     elided_right: int = 0
     eq_syms: frozenset[str] = frozenset()
     z_syms: frozenset[str] = frozenset()
-    key: tuple = ()
+    _key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
+    @property
+    def key(self) -> tuple:
+        """Structural identity: `("t", symbol, site node, site line)` for a
+        leaf, `("n", production, elided_left, elided_right, child keys)` for
+        a node.  Built on first read; most trees the search makes are never
+        emitted, so never keyed."""
+        if self._key is None:
+            _fill_keys(self, {})
+        return self._key
 
-def _leaf(symbol: str, site: Optional[CallSite] = None) -> ParseTree:
-    return ParseTree(
-        symbol=symbol,
-        count=1,
-        site=site,
-        key=("t", symbol, site.node if site else None, site.line if site else None),
-    )
+
+def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
+    """Key every unkeyed node of the tree, children before parents, without
+    recursing: a call chain makes trees thousands of levels deep.
+
+    `interned` maps each key made with it to one shared tuple, so that equal
+    keys are the same object and comparing two keys never descends further
+    than their first differing children (a deep descent would overflow the
+    interpreter's recursion limit).  A node's entry is found by the ids of
+    its children's interned keys."""
+    order = []  # unkeyed nodes, parents before children
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node._key is None:
+            order.append(node)
+            if node.children:
+                todo.extend(node.children)
+    for node in reversed(order):
+        if node._key is not None:  # a shared subtree, listed twice
+            continue
+        children = node.children
+        if children is None:
+            site = node.site
+            key = ("t", node.symbol, site.node if site else None, site.line if site else None)
+            node._key = interned.setdefault(key, key)
+            continue
+        child_keys = tuple([ch._key for ch in children])
+        entry = (node.production, node.elided_left, node.elided_right, *map(id, child_keys))
+        key = interned.get(entry)
+        if key is None:
+            key = interned[entry] = ("n", node.production, node.elided_left, node.elided_right, child_keys)
+        node._key = key
 
 
-def _make_node(
-    head: str,
-    production: int,
-    children: tuple[ParseTree, ...],
-    elided_left: int,
-    elided_right: int,
-) -> Optional[ParseTree]:
-    """Build a reduction node, or None when it would repeat a nonterminal
-    on a path without covering any new terminal."""
-    count = sum(ch.count for ch in children)
-    if count > 0:
-        eq_child = None
-        for ch in children:
-            if ch.count == count:
-                eq_child = ch
-                break
-        if eq_child is not None and not eq_child.is_leaf:
-            if head in eq_child.eq_syms:
-                return None
-            eq_syms = eq_child.eq_syms | {head}
+def _leaves(tree: ParseTree) -> Iterator[ParseTree]:
+    """Leaves left to right, without recursing."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node.children is None:
+            yield node
         else:
-            eq_syms = frozenset({head})
-        z_syms: frozenset[str] = frozenset()
-    else:
-        merged: set[str] = set()
-        for ch in children:
-            merged |= ch.z_syms
-        if head in merged:
-            return None
-        merged.add(head)
-        z_syms = frozenset(merged)
-        eq_syms = frozenset()
-    return ParseTree(
-        symbol=head,
-        count=count,
-        production=production,
-        children=children,
-        elided_left=elided_left,
-        elided_right=elided_right,
-        eq_syms=eq_syms,
-        z_syms=z_syms,
-        key=("n", production, elided_left, elided_right, tuple(ch.key for ch in children)),
-    )
+            todo.extend(reversed(node.children))
 
 
 def tree_word(tree: ParseTree) -> tuple[str, ...]:
     """Frontier of materialized terminals, left to right."""
-    if tree.is_leaf:
-        return (tree.symbol,)
-    out: tuple[str, ...] = ()
-    for ch in tree.children:
-        out += tree_word(ch)
-    return out
+    return tuple(leaf.symbol for leaf in _leaves(tree))
 
 
 def tree_sites(tree: ParseTree) -> list[CallSite]:
     """Call sites of the word terminals, in occurrence order."""
-    if tree.is_leaf:
-        return [tree.site] if tree.site is not None else []
-    out: list[CallSite] = []
-    for ch in tree.children:
-        out.extend(tree_sites(ch))
-    return out
+    return [leaf.site for leaf in _leaves(tree) if leaf.site is not None]
 
 
 def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None, indent: str = "") -> str:
-    if tree.is_leaf:
-        where = f"  [{tree.site.file}:{tree.site.line}]" if tree.site else ""
-        return f"{indent}{tree.symbol}{where}\n"
-    rule = ""
-    if table is not None and tree.production is not None:
-        p = table.productions[tree.production]
-        rule = f"  ({p.head} -> {' '.join(p.body) or 'epsilon'})"
-    marks = ""
-    if tree.elided_left or tree.elided_right:
-        marks = f"  [context {tree.elided_left}|{tree.elided_right}]"
-    out = f"{indent}{tree.symbol}{rule}{marks}\n"
-    if not tree.children:
-        out += f"{indent}  epsilon\n"
-    for ch in tree.children:
-        out += dump_tree(ch, table, indent + "  ")
-    return out
+    out: list[str] = []
+    todo = [(tree, indent)]
+    while todo:
+        node, pad = todo.pop()
+        if node.children is None:
+            where = f"  [{node.site.file}:{node.site.line}]" if node.site else ""
+            out.append(f"{pad}{node.symbol}{where}\n")
+            continue
+        rule = ""
+        if table is not None and node.production is not None:
+            p = table.productions[node.production]
+            rule = f"  ({p.head} -> {' '.join(p.body) or 'epsilon'})"
+        marks = ""
+        if node.elided_left or node.elided_right:
+            marks = f"  [context {node.elided_left}|{node.elided_right}]"
+        out.append(f"{pad}{node.symbol}{rule}{marks}\n")
+        if not node.children:
+            out.append(f"{pad}  epsilon\n")
+        todo.extend((ch, pad + "  ") for ch in reversed(node.children))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -263,139 +274,136 @@ class ParseStats:
     trees: int = 0
 
 
-@dataclass(slots=True)
-class _Branch:
-    stack: tuple[tuple[int, ParseTree], ...]  # (state, node)
-    pos: int
-    rec_depth: frozenset  # (under state, symbol, depth) seen since last shift
-    rec_empty: frozenset  # (under state, symbol) of zero-count pushes since last shift
-
-
 def _parse(
     table: ParseTable,
     word: tuple[str, ...],
     until_lca: bool,
     stats: Optional[ParseStats],
 ) -> list[ParseTree]:
+    """Explore every branch of the subword search, last pushed first.
+
+    A branch is a tuple (stack, pos, rec_depth, rec_empty).  The stack is a
+    tuple of (state, node) cells; a shifted terminal sits there as its bare
+    symbol until a reduction gives it the call site of its body position.
+    rec_depth holds (under state, symbol, depth) of every push since the
+    last shift, and rec_empty (under state, symbol) of the zero-count ones;
+    a branch may repeat neither, so the search ends.
+    """
     grammar = table.grammar
     n = len(word)
     if n == 0 or any(t not in grammar.terminals for t in word):
         return []
-    local = stats if stats is not None else ParseStats()
+    goto = table.goto
+    goto_sources = table.goto_sources
+    reduce_mid = table.reduce_mid
+    reduce_end = table.reduce_end
+    start = grammar.start
+    empty = frozenset()
     out: list[ParseTree] = []
     seen_keys: set[tuple] = set()
+    interned: dict[tuple, tuple] = {}
 
-    def emit(node: ParseTree) -> None:
-        if node.key not in seen_keys:
-            seen_keys.add(node.key)
-            out.append(node)
-            local.trees += 1
-
-    work: list[_Branch] = []
-    for s in table.shift_states.get(word[0], ()):
-        target = table.goto[(s, word[0])]
-        work.append(
-            _Branch(
-                stack=((target, _leaf(word[0])),),
-                pos=1,
-                rec_depth=frozenset(),
-                rec_empty=frozenset(),
-            )
-        )
-        local.branches += 1
+    first = word[0]
+    work = [(((goto[(s, first)], first),), 1, empty, empty) for s in table.shift_states.get(first, ())]
+    branches = len(work)
 
     while work:
-        b = work.pop()
-        top_state = b.stack[-1][0]
-
-        # shift the next word terminal
-        if b.pos < n:
-            target = table.goto.get((top_state, word[b.pos]))
+        stack, pos, rec_depth, rec_empty = work.pop()
+        m = len(stack)
+        if pos < n:
+            sym = word[pos]
+            target = goto.get((stack[-1][0], sym))
             if target is not None:
-                work.append(
-                    _Branch(
-                        stack=b.stack + ((target, _leaf(word[b.pos])),),
-                        pos=b.pos + 1,
-                        rec_depth=frozenset(),
-                        rec_empty=frozenset(),
-                    )
-                )
-                local.branches += 1
-
-        # reductions
-        candidates: list[tuple[int, int]] = []
-        if b.pos < n:
-            for pi in table.complete[top_state]:
-                candidates.append((pi, len(table.productions[pi].body)))
+                work.append((stack + ((target, sym),), pos + 1, empty, empty))
+                branches += 1
+            candidates = reduce_mid[stack[-1][0]]
         else:
-            for pi in table.complete[top_state]:
-                body_len = len(table.productions[pi].body)
-                if body_len > 0:  # epsilon subtrees right of the word are context
-                    candidates.append((pi, body_len))
-            candidates.extend(table.partial[top_state])
+            candidates = reduce_end[stack[-1][0]]
 
-        for pi, dot in candidates:
-            prod = table.productions[pi]
-            m = len(b.stack)
-            popped = min(dot, m)
-            cells = b.stack[m - popped :]
-            remaining = b.stack[: m - popped]
-            elided_left = dot - popped
-            children: list[ParseTree] = []
-            for offset, (_, node) in enumerate(cells):
-                body_pos = dot - popped + offset
-                if node.is_leaf and node.site is None:
-                    node = _leaf(node.symbol, prod.sites[body_pos])
-                children.append(node)
-            node = _make_node(
-                head=prod.head,
-                production=pi,
-                children=tuple(children),
-                elided_left=elided_left,
-                elided_right=len(prod.body) - dot,
-            )
-            if node is None:
-                continue
-
-            if until_lca and node.count == n:
-                emit(node)
-                continue
-            if not until_lca and node.count == n and prod.head == grammar.start and not remaining:
-                emit(node)
-                continue
-
-            pushes: list[tuple[int, int]] = []  # (under state, target state)
-            if remaining:
-                under = remaining[-1][0]
-                target = table.goto.get((under, prod.head))
-                if target is not None:
-                    pushes.append((under, target))
+        for prod, pi, dot in candidates:
+            # pop the dot's cells; a body part below the stack bottom is elided
+            if dot <= m:
+                cut = m - dot
+                elided_left = 0
             else:
-                pushes.extend(table.goto_sources.get(prod.head, ()))
+                cut = 0
+                elided_left = dot - m
+            sites = prod.sites
+            body_pos = elided_left
+            children = []
+            count = 0
+            for _, child in stack[cut:]:
+                if child.__class__ is str:
+                    child = ParseTree(child, 1, None, None, sites[body_pos])
+                children.append(child)
+                count += child.count
+                body_pos += 1
 
-            for under, target in pushes:
-                base = remaining if remaining else ()
-                depth = len(base) + 1
-                key_d = (under, prod.head, depth)
-                if key_d in b.rec_depth:
+            # no nonterminal may repeat on a path without covering a new terminal
+            head = prod.head
+            if count:
+                eq_syms = empty
+                for child in children:
+                    if child.count == count:
+                        if child.children is not None:
+                            eq_syms = child.eq_syms
+                        break
+                if eq_syms:
+                    if head in eq_syms:
+                        continue
+                    eq_syms = eq_syms | {head}
+                else:
+                    eq_syms = frozenset((head,))
+                z_syms = empty
+            else:
+                z_syms = empty
+                for child in children:
+                    z_syms = z_syms | child.z_syms
+                if head in z_syms:
                     continue
-                rec_depth = b.rec_depth | {key_d}
-                rec_empty = b.rec_empty
-                if node.count == 0:
-                    key_e = (under, prod.head)
+                z_syms = z_syms | {head}
+                eq_syms = empty
+            node = ParseTree(
+                head, count, pi, tuple(children), None,
+                elided_left, len(prod.body) - dot, eq_syms, z_syms,
+            )
+
+            if count == n and (until_lca or (not cut and head == start)):
+                _fill_keys(node, interned)
+                key = node._key
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    out.append(node)
+                continue
+
+            if cut:
+                under = stack[cut - 1][0]
+                target = goto.get((under, head))
+                if target is None:
+                    continue
+                pushes = ((under, target),)
+                base = stack[:cut]
+            else:
+                pushes = goto_sources.get(head, ())
+                base = ()
+            depth = cut + 1
+            for under, target in pushes:
+                key_d = (under, head, depth)
+                if key_d in rec_depth:
+                    continue
+                if count:
+                    next_empty = rec_empty
+                else:
+                    key_e = (under, head)
                     if key_e in rec_empty:
                         continue
-                    rec_empty = rec_empty | {key_e}
-                work.append(
-                    _Branch(
-                        stack=base + ((target, node),),
-                        pos=b.pos,
-                        rec_depth=rec_depth,
-                        rec_empty=rec_empty,
-                    )
-                )
-                local.branches += 1
+                    next_empty = rec_empty | {key_e}
+                work.append((base + ((target, node),), pos, rec_depth | {key_d}, next_empty))
+                branches += 1
 
+    if stats is not None:
+        stats.branches += branches
+        stats.trees += len(out)
     return out
 
 

@@ -250,6 +250,7 @@ def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
     for task in tasks:
         table = build_parse_table(task.grammar)
         stats = ParseStats()
+        # bench/tracing.py wraps this name and reads `stats` as the third positional argument
         trees = tuple(
             (clause, word, parse_subword_until_lca(table, word.methods, stats))
             for clause, words in task.words

@@ -6,8 +6,8 @@ expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, and structural
 checks on parse trees.  It also keeps the original character-at-a-time
 tokenizer, the original per-grammar CFG walk, the original quadratic grammar
-simplification and the original three-walk points-to analysis as the
-references the pipeline's versions must reproduce.
+simplification, the original three-walk points-to analysis and the original
+subword search as the references the pipeline's versions must reproduce.
 """
 
 from __future__ import annotations
@@ -16,7 +16,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from atomguard import BehaviorGrammar, CallSite, ParseTree, Production, Program, SourceSyntaxError
+from atomguard import (
+    BehaviorGrammar,
+    CallSite,
+    ParseStats,
+    ParseTable,
+    ParseTree,
+    Production,
+    Program,
+    SourceSyntaxError,
+)
 from atomguard.frontend.cfg import NodeKind, build_cfg
 from atomguard.frontend.lexer import KEYWORDS, PUNCT, Token
 from atomguard.frontend.parser import iter_method_statements, statement_call
@@ -841,3 +850,245 @@ def _walk_pruned(tree: ParseTree, seen: frozenset[tuple[str, int]]) -> None:
     assert key not in seen, f"unproductive repetition of {key[0]} (count {key[1]})"
     for child in tree.children:
         _walk_pruned(child, seen | {key})
+
+
+# ---------------------------------------------------------------------------
+# The subword search with a record per branch and eagerly keyed trees
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceTree:
+    """Node of a (possibly partial) parse, frozen, with its key built eagerly.
+
+    Terminal leaves have children None.  elided_left/right count body symbols
+    hypothesized rather than materialized: they stand for derivations outside
+    the matched word.  count is the number of word terminals in the subtree.
+    """
+
+    symbol: str
+    count: int
+    production: Optional[int] = None
+    children: Optional[tuple["ReferenceTree", ...]] = None
+    site: Optional[CallSite] = None
+    elided_left: int = 0
+    elided_right: int = 0
+    eq_syms: frozenset[str] = frozenset()
+    z_syms: frozenset[str] = frozenset()
+    key: tuple = ()
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.children is None
+
+
+def _reference_leaf(symbol: str, site: Optional[CallSite] = None) -> ReferenceTree:
+    return ReferenceTree(
+        symbol=symbol,
+        count=1,
+        site=site,
+        key=("t", symbol, site.node if site else None, site.line if site else None),
+    )
+
+
+def _reference_make_node(
+    head: str,
+    production: int,
+    children: tuple[ReferenceTree, ...],
+    elided_left: int,
+    elided_right: int,
+) -> Optional[ReferenceTree]:
+    """Build a reduction node, or None when it would repeat a nonterminal
+    on a path without covering any new terminal."""
+    count = sum(ch.count for ch in children)
+    if count > 0:
+        eq_child = None
+        for ch in children:
+            if ch.count == count:
+                eq_child = ch
+                break
+        if eq_child is not None and not eq_child.is_leaf:
+            if head in eq_child.eq_syms:
+                return None
+            eq_syms = eq_child.eq_syms | {head}
+        else:
+            eq_syms = frozenset({head})
+        z_syms: frozenset[str] = frozenset()
+    else:
+        merged: set[str] = set()
+        for ch in children:
+            merged |= ch.z_syms
+        if head in merged:
+            return None
+        merged.add(head)
+        z_syms = frozenset(merged)
+        eq_syms = frozenset()
+    return ReferenceTree(
+        symbol=head,
+        count=count,
+        production=production,
+        children=children,
+        elided_left=elided_left,
+        elided_right=elided_right,
+        eq_syms=eq_syms,
+        z_syms=z_syms,
+        key=("n", production, elided_left, elided_right, tuple(ch.key for ch in children)),
+    )
+
+
+def reference_reductions(
+    table: ParseTable,
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, int], ...]]]:
+    """Per state of the table, its completable productions and its
+    (production, dot) items with the dot mid-body, both sorted, leaving out
+    the augmented rule."""
+    prods = table.productions
+    aug = len(prods) - 1
+    complete = [
+        tuple(sorted(pi for pi, dot in state if pi != aug and dot == len(prods[pi].body)))
+        for state in table.states
+    ]
+    partial = [
+        tuple(sorted((pi, dot) for pi, dot in state if pi != aug and 0 < dot < len(prods[pi].body)))
+        for state in table.states
+    ]
+    return complete, partial
+
+
+@dataclass(slots=True)
+class _ReferenceBranch:
+    stack: tuple[tuple[int, ReferenceTree], ...]  # (state, node)
+    pos: int
+    rec_depth: frozenset  # (under state, symbol, depth) seen since last shift
+    rec_empty: frozenset  # (under state, symbol) of zero-count pushes since last shift
+
+
+def reference_parse(
+    table: ParseTable,
+    word: tuple[str, ...],
+    until_lca: bool,
+    stats: Optional[ParseStats],
+) -> list[ReferenceTree]:
+    """The original search: a `_ReferenceBranch` record per branch, a frozen
+    tree with its key per reduction, and the reduction candidates gathered
+    on every branch from the table's item sets (`reference_reductions`)."""
+    grammar = table.grammar
+    n = len(word)
+    if n == 0 or any(t not in grammar.terminals for t in word):
+        return []
+    complete, partial = reference_reductions(table)
+    local = stats if stats is not None else ParseStats()
+    out: list[ReferenceTree] = []
+    seen_keys: set[tuple] = set()
+
+    def emit(node: ReferenceTree) -> None:
+        if node.key not in seen_keys:
+            seen_keys.add(node.key)
+            out.append(node)
+            local.trees += 1
+
+    work: list[_ReferenceBranch] = []
+    for s in table.shift_states.get(word[0], ()):
+        target = table.goto[(s, word[0])]
+        work.append(
+            _ReferenceBranch(
+                stack=((target, _reference_leaf(word[0])),),
+                pos=1,
+                rec_depth=frozenset(),
+                rec_empty=frozenset(),
+            )
+        )
+        local.branches += 1
+
+    while work:
+        b = work.pop()
+        top_state = b.stack[-1][0]
+
+        # shift the next word terminal
+        if b.pos < n:
+            target = table.goto.get((top_state, word[b.pos]))
+            if target is not None:
+                work.append(
+                    _ReferenceBranch(
+                        stack=b.stack + ((target, _reference_leaf(word[b.pos])),),
+                        pos=b.pos + 1,
+                        rec_depth=frozenset(),
+                        rec_empty=frozenset(),
+                    )
+                )
+                local.branches += 1
+
+        # reductions
+        candidates: list[tuple[int, int]] = []
+        if b.pos < n:
+            for pi in complete[top_state]:
+                candidates.append((pi, len(table.productions[pi].body)))
+        else:
+            for pi in complete[top_state]:
+                body_len = len(table.productions[pi].body)
+                if body_len > 0:  # epsilon subtrees right of the word are context
+                    candidates.append((pi, body_len))
+            candidates.extend(partial[top_state])
+
+        for pi, dot in candidates:
+            prod = table.productions[pi]
+            m = len(b.stack)
+            popped = min(dot, m)
+            cells = b.stack[m - popped :]
+            remaining = b.stack[: m - popped]
+            elided_left = dot - popped
+            children: list[ReferenceTree] = []
+            for offset, (_, node) in enumerate(cells):
+                body_pos = dot - popped + offset
+                if node.is_leaf and node.site is None:
+                    node = _reference_leaf(node.symbol, prod.sites[body_pos])
+                children.append(node)
+            node = _reference_make_node(
+                head=prod.head,
+                production=pi,
+                children=tuple(children),
+                elided_left=elided_left,
+                elided_right=len(prod.body) - dot,
+            )
+            if node is None:
+                continue
+
+            if until_lca and node.count == n:
+                emit(node)
+                continue
+            if not until_lca and node.count == n and prod.head == grammar.start and not remaining:
+                emit(node)
+                continue
+
+            pushes: list[tuple[int, int]] = []  # (under state, target state)
+            if remaining:
+                under = remaining[-1][0]
+                target = table.goto.get((under, prod.head))
+                if target is not None:
+                    pushes.append((under, target))
+            else:
+                pushes.extend(table.goto_sources.get(prod.head, ()))
+
+            for under, target in pushes:
+                base = remaining if remaining else ()
+                depth = len(base) + 1
+                key_d = (under, prod.head, depth)
+                if key_d in b.rec_depth:
+                    continue
+                rec_depth = b.rec_depth | {key_d}
+                rec_empty = b.rec_empty
+                if node.count == 0:
+                    key_e = (under, prod.head)
+                    if key_e in rec_empty:
+                        continue
+                    rec_empty = rec_empty | {key_e}
+                work.append(
+                    _ReferenceBranch(
+                        stack=base + ((target, node),),
+                        pos=b.pos,
+                        rec_depth=rec_depth,
+                        rec_empty=rec_empty,
+                    )
+                )
+                local.branches += 1
+
+    return out

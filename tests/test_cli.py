@@ -140,6 +140,48 @@ def test_corpus_deep_nesting_exits_two(tmp_path, capsys):
     assert out.startswith("atomguard: pair: ") and "nesting deeper than 100 levels" in out
 
 
+def call_chain(depth: int, end: str) -> str:
+    """A thread `run` that calls `f1`, then `m.b()`, where `f1 -> ... -> f{depth}`
+    and `f{depth}` ends the chain with `end`."""
+    methods = [f"  void f{i}() {{ f{i + 1}(); }}\n" for i in range(1, depth)]
+    return (
+        MODULE_AB
+        + "class C {\n  thread void run() { m = new M(); f1(); m.b(); }\n"
+        + "".join(methods)
+        + f"  void f{depth}() {{ {end} }}\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-trees"], ["--format", "json"]], ids=["text", "dump", "json"])
+def test_deep_call_chain_reports_one_violation(tmp_path, capsys, flags):
+    # 1,500 levels of calls make parse trees 1,500 levels deep: walking,
+    # keying and printing them must not recurse once per level
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "chain.mg"
+    path.write_text(call_chain(1500, "m.a();"))
+    assert run(["check", *flags, str(path)]) == 1
+    out = capsys.readouterr().out
+    if flags == ["--format", "json"]:
+        (violation,) = json.loads(out)["violations"]
+        assert violation["lca"] == "run"
+    else:
+        assert out.count("VIOLATION") == 1
+        assert "lowest common ancestor: @run in method run " in out
+    if flags == ["--dump-trees"]:
+        assert "word 'a b' (1 found)" in out
+
+
+def test_deep_duplicate_trees_are_compared_without_recursion(tmp_path, capsys):
+    # a loop at the end of the chain makes the search find one 1,500-level
+    # tree twice; telling the copies apart must not descend level by level
+    path = tmp_path / "chain.mg"
+    path.write_text(call_chain(1500, "while (cond) { m.a(); }"))
+    assert run(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("VIOLATION") == 1
+    assert "lowest common ancestor: @run in method run " in out
+
+
 BAD_LITERALS = {"superscript-digit": "\u00b2", "5000-digits": "9" * 5000}
 
 

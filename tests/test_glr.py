@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomguard import (
     ParseStats,
@@ -22,8 +25,10 @@ from atomguard import (
     tree_word,
     verify_with_stats,
 )
-from conftest import deadline, load_program
-from oracles import assert_tree_pruned, tree_word_count
+from atomguard.verifier import grammar_stage, simplify_stage
+from conftest import CORPUS, PROGRAMS, deadline, load_program
+from generators import random_program
+from oracles import assert_tree_pruned, reference_parse, tree_word_count
 
 
 def table_for(name: str, entry: str):
@@ -62,8 +67,8 @@ def test_single_production_table():
     table = build_parse_table(parse_dump("Start: S\nS -> a\n"))
     assert len(table.states) == 3
     assert table.goto[(0, "a")] == 2, "state 0 shifts a"
-    assert not table.complete[0], "and has nothing to reduce"
-    reduce_states = [s for s in range(3) if table.complete[s]]
+    assert not table.reduce_mid[0], "and has nothing to reduce"
+    reduce_states = [s for s in range(3) if table.reduce_mid[s]]
     assert reduce_states, "the completed item must be recorded somewhere"
 
 
@@ -73,10 +78,10 @@ def test_conflicting_actions_are_kept_as_data():
         (s, t)
         for s in range(len(table.states))
         for t in grammar.terminals
-        if ((s, t) in table.goto) + len(table.complete[s]) >= 2
+        if ((s, t) in table.goto) + len(table.reduce_mid[s]) >= 2
     ]
     assert conflicted, "the ambiguous client must produce a conflict state"
-    assert any(len(table.complete[s]) >= 2 for s in range(len(table.states)))
+    assert any(len(table.reduce_mid[s]) >= 2 for s in range(len(table.states)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +307,77 @@ def test_search_branch_counts_are_pinned(shape):
     with deadline(2.0):
         violations, stats = verify_with_stats(program)
     assert (len(violations), stats.trees, stats.branches) == expected
+
+
+# ---------------------------------------------------------------------------
+# the search against the original one (a record per branch, eager keys)
+
+FLAGS = {
+    "default": {},
+    "class-scope": {"class_scope": True},
+    "no-points-to": {"points_to": False},
+}
+
+
+def searches(program, **options):
+    """(table, word) of every search `verify_with_stats` makes on the program."""
+    for task in simplify_stage(grammar_stage(program, **options)):
+        table = build_parse_table(task.grammar)
+        for _, words in task.words:
+            for word in words:
+                yield table, word.methods
+
+
+def tree_fields(tree):
+    return (
+        tree.key, tree.symbol, tree.count, tree.production,
+        tree.elided_left, tree.elided_right, tree_sites(tree),
+    )
+
+
+def assert_search_like_reference(table, word) -> bool:
+    """Both searches find the same trees in the same order, over the same
+    number of branches.  The full parse is compared only where the until-LCA
+    search stays small, since the full parse can blow up; returns whether it
+    was."""
+    got_stats, want_stats = ParseStats(), ParseStats()
+    got = parse_subword_until_lca(table, word, got_stats)
+    want = reference_parse(table, word, True, want_stats)
+    assert [tree_fields(t) for t in got] == [tree_fields(t) for t in want], word
+    assert (got_stats.branches, got_stats.trees) == (want_stats.branches, want_stats.trees)
+    if want_stats.branches >= 100:
+        return False
+    got_stats, want_stats = ParseStats(), ParseStats()
+    got = parse_subword(table, word, got_stats)
+    want = reference_parse(table, word, False, want_stats)
+    assert [tree_fields(t) for t in got] == [tree_fields(t) for t in want], word
+    assert (got_stats.branches, got_stats.trees) == (want_stats.branches, want_stats.trees)
+    return True
+
+
+@pytest.mark.parametrize("flags", sorted(FLAGS))
+def test_search_matches_reference_on_bundled_programs(flags):
+    searched = full = 0
+    for path in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg")):
+        program = parse_program(path.read_text(), path.name)
+        for table, word in searches(program, **FLAGS[flags]):
+            full += assert_search_like_reference(table, word)
+            searched += 1
+    assert searched > 40 and full > 20, (searched, full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_search_matches_reference_on_random_programs(seed):
+    text, _ = random_program(random.Random(seed))
+    for table, word in searches(parse_program(text, f"seed{seed}.mg")):
+        assert_search_like_reference(table, word)
+
+
+@pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
+def test_search_matches_reference_on_search_shapes(shape):
+    body, clause, _ = SEARCH_SHAPES[shape]
+    module = f'class M contract {{ "{clause}" }} {{\n  void a() {{ }}\n  void b() {{ }}\n}}\n'
+    program = parse_program(module + "class C {\n  " + body + "\n}\n", f"{shape}.mg")
+    for table, word in searches(program):
+        assert_search_like_reference(table, word)
