@@ -379,36 +379,6 @@ def iter_method_statements(method: MethodDecl):
     yield from _iter_statements(method.body)
 
 
-def _iter_exprs(e: Expr):
-    yield e
-    if isinstance(e, Unary):
-        yield from _iter_exprs(e.operand)
-    elif isinstance(e, Binary):
-        yield from _iter_exprs(e.left)
-        yield from _iter_exprs(e.right)
-    elif isinstance(e, Ternary):
-        yield from _iter_exprs(e.cond)
-        yield from _iter_exprs(e.then)
-        yield from _iter_exprs(e.other)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _iter_exprs(a)
-
-
-def statement_exprs(stmt: Stmt):
-    """Every expression appearing in the statement (not recursing into blocks)."""
-    if isinstance(stmt, (If, While)):
-        yield from _iter_exprs(stmt.cond)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        yield from _iter_exprs(stmt.value)
-    elif isinstance(stmt, Assign):
-        yield from _iter_exprs(stmt.value)
-    else:
-        call = statement_call(stmt)
-        if call is not None:
-            yield from _iter_exprs(call)
-
-
 def _resolve(program: Program, filename: str) -> None:
     seen_classes: set[str] = set()
     for c in program.classes:
@@ -440,11 +410,32 @@ def _resolve(program: Program, filename: str) -> None:
         for m in c.methods:
             calls = program.calls[m.name] = []
             for stmt in iter_method_statements(m):
-                for e in statement_exprs(stmt):
-                    if isinstance(e, New) and e.class_name not in class_names:
-                        raise UnresolvedMethodError(
-                            f"unknown class {e.class_name!r} in new (at {filename}:{_line_of(stmt)})"
-                        )
+                # The statement's own expressions (not those of nested
+                # statements), pre-order, left to right.
+                if isinstance(stmt, (If, While)):
+                    todo = [stmt.cond]
+                elif isinstance(stmt, (Assign, Return)) and stmt.value is not None:
+                    todo = [stmt.value]
+                elif isinstance(stmt, ExprStmt):
+                    todo = [stmt.call]
+                else:
+                    todo = []
+                while todo:
+                    e = todo.pop()
+                    if isinstance(e, New):
+                        if e.class_name not in class_names:
+                            raise UnresolvedMethodError(
+                                f"unknown class {e.class_name!r} in new "
+                                f"(at {filename}:{_line_of(stmt)})"
+                            )
+                    elif isinstance(e, Binary):
+                        todo += (e.right, e.left)
+                    elif isinstance(e, Call):
+                        todo += reversed(e.args)
+                    elif isinstance(e, Unary):
+                        todo.append(e.operand)
+                    elif isinstance(e, Ternary):
+                        todo += (e.other, e.then, e.cond)
                 call = statement_call(stmt)
                 if call is None:
                     continue

@@ -169,7 +169,16 @@ class ParseTree:
     elided_right: int = 0
     eq_syms: frozenset[str] = frozenset()
     z_syms: frozenset[str] = frozenset()
-    _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    _key: Optional[tuple] = field(default=None, init=False)
+
+    def __repr__(self) -> str:
+        # Shallow: a call chain makes trees thousands of levels deep.
+        below = "leaf" if self.children is None else f"{len(self.children)} children"
+        return (
+            f"ParseTree({self.symbol!r}, count={self.count}, "
+            f"production={self.production}, "
+            f"elided={self.elided_left}/{self.elided_right}, {below})"
+        )
 
     @property
     def is_leaf(self) -> bool:

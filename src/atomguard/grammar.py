@@ -18,7 +18,7 @@ grammar for one module, unit and allocation site selects among them.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -356,11 +356,165 @@ def build_class_scope_grammar(
 # simplification
 
 
-def _is_inlinable_symbol(symbol: str) -> bool:
-    # Method symbols and scope starts stay: they carry the method attribution
-    # that locates a violation, and collapsing them would move a call
-    # sequence into its caller.
-    return not symbol.startswith("@") and not symbol.startswith(SCOPE_START_PREFIX)
+# Method symbols and scope starts are never inlined: they carry the method
+# attribution that locates a violation, and collapsing them would move a
+# call sequence into its caller.
+_KEPT_PREFIXES = ("@", SCOPE_START_PREFIX)
+
+
+def _kept_on_cycles(rule_of: dict[str, Production]) -> set[str]:
+    """The single-rule heads in `rule_of` that simplification keeps.
+
+    Inlining the single-rule heads one at a time in sorted order, a head is
+    kept when the heads inlined before it have made its rule refer to it:
+    when some cycle of single-rule heads runs from it back to it through
+    inlined heads that sort before it only.  Such a cycle stays inside the
+    head's strongly connected component, so only heads on a cyclic component
+    are tested, each by a walk of its component.
+    """
+    succ = {h: [s for s in p.body if s in rule_of] for h, p in rule_of.items()}
+    # Tarjan's strongly connected components, with an explicit stack
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    path: list[str] = []
+    on_path: set[str] = set()
+    cyclic: list[list[str]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path.append(root)
+        on_path.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    path.append(w)
+                    on_path.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_path and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = [path.pop()]
+                    while comp[-1] != v:
+                        comp.append(path.pop())
+                    on_path.difference_update(comp)
+                    if len(comp) > 1 or v in succ[v]:
+                        cyclic.append(comp)
+
+    kept: set[str] = set()
+    for comp in cyclic:
+        members = set(comp)
+        for head in sorted(comp):
+            seen: set[str] = set()
+            todo = [head]
+            while todo and head not in kept:
+                for sym in succ[todo.pop()]:
+                    if sym == head:
+                        kept.add(head)
+                        break
+                    if sym in members and sym < head and sym not in kept and sym not in seen:
+                        seen.add(sym)
+                        todo.append(sym)
+    return kept
+
+
+_Expansion = tuple[list[str], list[Optional[CallSite]]]
+_END = object()  # on `_expand`'s stack: a shared head's expansion ends here
+_UNDER_WAY: _Expansion = ([], [])  # in its memo: a shared head being expanded
+
+
+def _expand(
+    body: tuple[str, ...],
+    sites: tuple[Optional[CallSite], ...],
+    inline: dict[str, Production],
+    shared: set[str],
+    memo: dict[str, _Expansion],
+) -> Optional[_Expansion]:
+    """`body` with each inlined symbol replaced by its rule's expanded body,
+    depth first, and `sites` to match.  The expansion of a `shared` head is
+    made once and kept in `memo`.  None if a shared head turns up inside its
+    own expansion: the inlined heads form a cycle."""
+    out_body: list[str] = []
+    out_sites: list[Optional[CallSite]] = []
+    # the symbols still to expand, last first, and their sites
+    todo: list = list(reversed(body))
+    todo_sites: list = list(reversed(sites))
+    while todo:
+        sym = todo.pop()
+        site = todo_sites.pop()
+        rule = inline.get(sym)
+        if rule is None:
+            if sym is _END:  # site holds the head and where its expansion starts
+                head, at = site
+                memo[head] = (out_body[at:], out_sites[at:])
+            else:
+                out_body.append(sym)
+                out_sites.append(site)
+            continue
+        done = memo.get(sym)
+        if done is None:
+            if sym in shared:
+                memo[sym] = _UNDER_WAY
+                todo.append(_END)
+                todo_sites.append((sym, len(out_body)))
+            todo += rule.body[::-1]
+            todo_sites += rule.sites[::-1]
+        elif done is _UNDER_WAY:
+            return None
+        else:
+            out_body += done[0]
+            out_sites += done[1]
+    return out_body, out_sites
+
+
+def _inline(
+    grammar: BehaviorGrammar,
+    by_head: dict[str, list[Production]],
+    inline: dict[str, Production],
+) -> Optional[list[Production]]:
+    """The rules the start symbol reaches once the heads in `inline` are
+    inlined, in grammar order; None if those heads form a cycle."""
+    terminals = grammar.terminals
+    # The kept heads the start reaches through inlined ones; an inlined head
+    # passed more than once is shared.
+    reachable = {grammar.start}
+    passed: set[str] = set()
+    shared: set[str] = set()
+    bodies = [p.body for p in by_head.get(grammar.start, ())]
+    while bodies:
+        for sym in bodies.pop():
+            rule = inline.get(sym)
+            if rule is None:
+                if sym not in reachable and sym not in terminals:
+                    reachable.add(sym)
+                    bodies += [p.body for p in by_head.get(sym, ())]
+            elif sym in passed:
+                shared.add(sym)
+            else:
+                passed.add(sym)
+                bodies.append(rule.body)
+
+    memo: dict[str, _Expansion] = {}
+    names = inline.keys()
+    out: list[Production] = []
+    for p in grammar.productions:
+        if p.head not in reachable:
+            continue
+        if not names.isdisjoint(p.body):
+            expansion = _expand(p.body, p.sites, inline, shared, memo)
+            if expansion is None:
+                return None
+            p = Production(p.head, tuple(expansion[0]), tuple(expansion[1]))
+        out.append(p)
+    return out
 
 
 def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
@@ -369,83 +523,40 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
     The language is unchanged; so is the method every remaining nonterminal
     belongs to, since only control-flow-node symbols are inlined.
 
-    One pass over the heads in sorted order; a symbol-use index finds the
-    rules to splice each inlined body into.  Inlining never changes how many
-    rules a head has, and a rule that refers to its own head keeps doing so,
-    so the heads that qualify when visited are exactly those that inlining
-    the smallest qualifying head first, over and over, would pick.
+    The result is that of inlining the qualifying heads one at a time in
+    sorted order, skipping a head whose rule refers to itself by then, and
+    then dropping the rules the start symbol does not reach and repeated
+    rules.  It is built directly: each kept rule the start reaches is
+    expanded once, depth first, and the expansion of an inlined head used
+    more than once is made once and copied.  That assumes the inlined heads
+    form no cycle.  Builder grammars have none (such a cycle derives no
+    finite word); when one turns up, `_kept_on_cycles` picks the heads to
+    keep and the expansion runs again without them.
     """
-    prods = grammar.productions
-    counts = Counter(p.head for p in prods)
-    rule_of = {
-        p.head: i
-        for i, p in enumerate(prods)
-        if counts[p.head] == 1
-        and p.head != grammar.start
-        and _is_inlinable_symbol(p.head)
+    by_head: dict[str, list[Production]] = {}
+    for p in grammar.productions:
+        by_head.setdefault(p.head, []).append(p)
+    inline = {
+        head: rules[0]
+        for head, rules in by_head.items()
+        if len(rules) == 1 and not head.startswith(_KEPT_PREFIXES)
     }
-    uses: dict[str, list[int]] = {}  # symbol -> rules whose body has it
-    for i, p in enumerate(prods):
-        for sym in p.body:
-            if sym in rule_of:
-                uses.setdefault(sym, []).append(i)
-    dead: set[int] = set()
-    edited: dict[int, tuple[list[str], list[Optional[CallSite]]]] = {}
+    inline.pop(grammar.start, None)
+    out = _inline(grammar, by_head, inline)
+    if out is None:
+        for head in _kept_on_cycles(inline):
+            del inline[head]
+        out = _inline(grammar, by_head, inline)
+        assert out is not None, "the inlined heads still form a cycle"
 
-    for head in sorted(rule_of):
-        rule = rule_of[head]
-        body, body_sites = edited.get(rule) or (prods[rule].body, prods[rule].sites)
-        if head in body:
-            continue
-        dead.add(rule)
-        edited.pop(rule, None)
-        for user in uses.pop(head, ()):
-            if user in dead:
-                continue
-            if user not in edited:
-                edited[user] = (list(prods[user].body), list(prods[user].sites))
-            user_body, user_sites = edited[user]
-            try:
-                at = user_body.index(head)
-            except ValueError:
-                continue  # listed twice and already spliced
-            while True:
-                user_body[at : at + 1] = body
-                user_sites[at : at + 1] = body_sites
-                try:
-                    at = user_body.index(head, at + len(body))
-                except ValueError:
-                    break
-            for sym in body:
-                if sym in rule_of:
-                    uses.setdefault(sym, []).append(user)
-
-    prods = [
-        Production(p.head, tuple(edited[i][0]), tuple(edited[i][1])) if i in edited else p
-        for i, p in enumerate(prods)
-        if i not in dead
-    ]
-
-    # drop rules not reachable from the start symbol
-    by_head2: dict[str, list[Production]] = {}
-    for p in prods:
-        by_head2.setdefault(p.head, []).append(p)
-    reachable = {grammar.start}
-    work = [grammar.start]
-    while work:
-        sym = work.pop()
-        for p in by_head2.get(sym, ()):
-            for s in p.body:
-                if s not in grammar.terminals and s not in reachable:
-                    reachable.add(s)
-                    work.append(s)
-    pruned = [p for p in prods if p.head in reachable]
-
+    # Repeated rules are found by head and body; sites are compared only
+    # between rules that share both, so no CallSite is hashed.
+    sites_of: dict[tuple[str, tuple[str, ...]], list[tuple[Optional[CallSite], ...]]] = {}
     deduped: list[Production] = []
-    seen: set[Production] = set()
-    for p in pruned:
-        if p not in seen:
-            seen.add(p)
+    for p in out:
+        twins = sites_of.setdefault((p.head, p.body), [])
+        if p.sites not in twins:
+            twins.append(p.sites)
             deduped.append(p)
     return BehaviorGrammar(
         start=grammar.start,

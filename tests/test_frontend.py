@@ -66,6 +66,28 @@ def test_unknown_class_in_new():
         parse_program(client("  thread void f() { x = new Zed(); }"), "t.mg")
 
 
+@pytest.mark.parametrize(
+    "body, unknown, line",
+    [
+        ("x = new P() + new Q();", "P", 8),
+        ("x = -(cond ? new P() : new Q()) * new R();", "P", 8),
+        ("g(new Q(), new P());", "Q", 8),
+        ("m.a(1 + new Q(), new P());", "Q", 8),
+        ("return new Q() + new P();", "Q", 8),
+        ("x = nope(new Q());", "Q", 8),  # before the unknown callee
+        ("if (g(new Q(), m)) {\n  x = new P();\n}", "Q", 8),
+        ("while (cond) {\n  x = new P();\n}\ny = new Q();", "P", 9),
+        ("if (cond) {\n  if (cond) { x = new Q(); }\n}\nx = new P();", "Q", 9),
+    ],
+)
+def test_first_unknown_class_is_reported(body, unknown, line):
+    # statements in order, outer before nested; within one, left to right
+    text = MODULE + "class C {\n  void g(M p, M q) { }\n  thread void t() {\n" + body + "\n}\n}\n"
+    with pytest.raises(UnresolvedMethodError) as caught:
+        parse_program(text, "t.mg")
+    assert str(caught.value) == f"unknown class {unknown!r} in new (at t.mg:{line})"
+
+
 def test_duplicate_method_in_class():
     with pytest.raises(DuplicateMethodError):
         parse_program(client("  thread void f() { }\n  void f() { }"), "t.mg")

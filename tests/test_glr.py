@@ -381,3 +381,26 @@ def test_search_matches_reference_on_search_shapes(shape):
     program = parse_program(module + "class C {\n  " + body + "\n}\n", f"{shape}.mg")
     for table, word in searches(program):
         assert_search_like_reference(table, word)
+
+
+def test_repr_of_a_deep_tree_is_shallow():
+    # 1,500 levels of calls make a tree 1,500 levels deep; a repr that
+    # descended into the children would overflow the recursion limit
+    methods = "".join(f"  void f{i}() {{ f{i + 1}(); }}\n" for i in range(1, 1500))
+    program = parse_program(
+        'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
+        "class C {\n  thread void run() { m = new M(); f1(); m.b(); }\n"
+        + methods
+        + "  void f1500() { m.a(); }\n}\n",
+        "chain.mg",
+    )
+    ((table, word),) = searches(program)
+    (tree,) = parse_subword_until_lca(table, word)
+    depth, node = 0, tree
+    while node.children:
+        depth, node = depth + 1, node.children[0]
+    assert depth > 1500
+    assert repr(tree) == (
+        f"ParseTree('@run', count=2, production={tree.production}, elided=0/0, 2 children)"
+    )
+    assert repr(node) == "ParseTree('a', count=1, production=None, elided=0/0, leaf)"

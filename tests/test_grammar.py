@@ -26,7 +26,7 @@ from atomguard import (
     simplify_grammar,
     symbol_method,
 )
-from conftest import CORPUS, PROGRAMS, load_program
+from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program, two_receivers
 from goldens import LOOP_BRANCH_GRAMMAR, RECURSIVE_PAIR_GRAMMAR
 from oracles import find_nonterminal_bijection, reference_build, reference_simplify_grammar
@@ -257,6 +257,89 @@ def test_simplify_splices_every_occurrence_with_its_sites():
     (rule,) = simplify_grammar(grammar).productions
     assert rule.body == ("a", "b", "a", "b", "c")
     assert rule.sites == (a, b, a, b, c)
+
+
+# Symbols of the random grammars: node symbols that sort unlike their
+# numbers, method symbols, a scope start and two terminals.  Sites come from
+# a small pool with two equal sites that are distinct objects.
+RANDOM_HEADS = ("n.0", "n.1", "n.2", "n.10", "x", "@f", "@g", "$start:C")
+RANDOM_TERMINALS = ("a", "b")
+RANDOM_SITES = (
+    None,
+    CallSite("n.1", "a", "r.mg", 1, "m", (), None),
+    CallSite("n.1", "a", "r.mg", 1, "m", (), None),
+    CallSite("n.2", "b", "r.mg", 2, "m", ("x",), "y"),
+)
+
+
+@st.composite
+def small_grammars(draw):
+    """Up to 8 heads with 0 to 2 rules each, mostly 1 so that single-rule
+    heads form cycles often, and some rules repeated.  Bodies name heads
+    twice as often as terminals; each body symbol carries a site from the
+    pool."""
+    heads = draw(st.lists(st.sampled_from(RANDOM_HEADS), min_size=1, max_size=8, unique=True))
+    symbol = st.tuples(
+        st.sampled_from(heads * 2 + list(RANDOM_TERMINALS)), st.sampled_from(RANDOM_SITES)
+    )
+    rules = [
+        (head, draw(st.lists(symbol, max_size=4)))
+        for head in heads
+        for _ in range(draw(st.sampled_from((1, 1, 1, 0, 2))))
+    ]
+    rules += draw(st.lists(st.sampled_from(rules), max_size=3)) if rules else []
+    rules = draw(st.permutations(rules))
+    productions = tuple(
+        Production(head, tuple(s for s, _ in body), tuple(site for _, site in body))
+        for head, body in rules
+    )
+    return BehaviorGrammar(
+        start=draw(st.sampled_from(heads)),
+        terminals=frozenset(RANDOM_TERMINALS),
+        productions=productions,
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_grammars())
+def test_simplify_matches_reference_on_random_grammars(grammar):
+    assert_simplifies_like_reference(grammar)
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [
+        "Start: S\nS -> X\nX -> X a\n",  # a single-rule self-loop
+        "Start: S\nS -> X b\nX -> Y\nY -> Z a\nZ -> X\n",  # a single-rule 3-cycle
+        "Start: S\nS -> n.2 n.10\nn.2 -> n.10 a\nn.10 -> n.2 b\n",  # entered twice
+        "Start: S\nS -> X Y\nX -> Y a Y\nY -> X\nY -> b\n",  # a cycle through two rules
+        "Start: S\nS -> X X epsilon\nX -> epsilon\n",
+        "Start: S\nS -> X S a\nS -> epsilon\nX -> Y\nY -> b\n",  # the start in a body
+        "Start: @f\n@f -> n.0\nn.0 -> @g a\n@g -> n.1\nn.1 -> @f\n",
+        "Start: $start:C\n$start:C -> @f\n@f -> n.0\nn.0 -> $start:C\n",
+        "Start: S\nS -> X\nS -> X\nX -> a a\n",  # a repeated rule
+        "Start: X\nX -> Y\nY -> a\nZ -> Z\n",  # an unreachable self-loop
+        "Start: S\nS -> Y\nX -> X Y\nY -> X b\n",  # a cycle through a self-loop
+    ],
+)
+def test_simplify_matches_reference_on_cycles_and_edge_cases(dump):
+    assert_simplifies_like_reference(parse_dump(dump))
+
+
+def test_simplify_is_linear_on_a_long_chain():
+    # Splicing each link into a body that keeps growing takes seconds here.
+    n = 40_000
+    grammar = BehaviorGrammar(
+        start="@t",
+        terminals=frozenset({"a"}),
+        productions=(Production("@t", ("t.0",)),)
+        + tuple(Production(f"t.{i}", ("a", f"t.{i + 1}")) for i in range(n - 1))
+        + (Production(f"t.{n - 1}", ("a",)),),
+    )
+    with deadline(1.0):
+        (rule,) = simplify_grammar(grammar).productions
+    assert rule.head == "@t"
+    assert rule.body == ("a",) * n
 
 
 @contextmanager
