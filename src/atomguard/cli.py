@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import AtomguardError
 from .frontend.parser import parse_program
 from .glr import dump_tree
-from .grammar import BehaviorGrammar, dump_grammar
+from .grammar import BehaviorGrammar, dump_grammar, restrict_grammar
 from .verifier import (
     Check,
     RunStats,
@@ -76,7 +76,10 @@ def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Viol
     tasks = list(grammar_stage(program, **options))
     checks = list(search_stage(simplify_stage(tasks)))
     for task, check in zip(tasks, checks):
-        _print_check(task.grammar, check, config.dumps, out)
+        raw = task.grammar
+        if task.drop is not None:  # the site's own, built only to print it
+            raw = restrict_grammar(raw, task.drop)
+        _print_check(raw, check, config.dumps, out)
     return classify_stage(program, checks)
 
 

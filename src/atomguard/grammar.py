@@ -13,7 +13,9 @@ The start symbol is the thread entry's method symbol, so the language is
 exactly the set of module call sequences the thread can perform.
 
 Each method is lowered to its call and skip productions once per check; a
-grammar for one module, unit and allocation site selects among them.
+grammar for one module, unit and allocation site selects among them.  The
+checker builds one base grammar per module and unit and derives most site
+grammars from it by deleting terminals (`site_drops`, `restrict_grammar`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ __all__ = [
     "build_behavior_grammar",
     "build_behavior_grammar_pointsto",
     "build_class_scope_grammar",
+    "base_site",
+    "site_drops",
+    "restrict_grammar",
     "simplify_grammar",
     "dump_grammar",
     "parse_dump",
@@ -353,6 +358,75 @@ def build_class_scope_grammar(
 
 
 # --------------------------------------------------------------------------
+# per-site grammars by restriction
+
+
+def base_site(pointsto: PointsToResult) -> tuple[AllocationSite, PointsToResult]:
+    """A site and a points-to result in which every receiver that some
+    tracked allocation reaches must point to that site.
+
+    Given to any builder, they give a unit's base grammar: every module call
+    takes its call productions, and a call whose receiver no allocation
+    reaches also takes its skips.  `site_drops` derives each real site's
+    grammar from it.
+    """
+    site = AllocationSite(-1, "", "", "", 0)
+    one = frozenset((site.index,))
+    may = {k: one for k, v in pointsto.may.items() if v}
+    return site, PointsToResult([site], may, pointsto._locals)
+
+
+def site_drops(
+    base: BehaviorGrammar, sites: list[AllocationSite], pointsto: PointsToResult
+) -> Iterator[Optional[frozenset[str]]]:
+    """For each site, the call nodes whose terminals `restrict_grammar`
+    deletes from the unit's base grammar to give the site's grammar: the
+    module calls whose receiver may point to other sites only.
+
+    The site's own builder grammar takes the same rules as the base at every
+    other node, and at these nodes a skip for each call, the call minus its
+    terminal.  So it is the base less those terminals, and since each head
+    keeps its number of rules, so is its simplification.  That fails where a
+    call's receiver may point to the site and to another one (the site's
+    grammar takes both the call and its skips there); such a site gets None
+    and needs a grammar of its own.
+    """
+    mays: dict[str, frozenset[int]] = {}  # per module call of the base
+    for p in base.productions:
+        for cs in p.sites:
+            if cs is not None and cs.node not in mays:
+                mays[cs.node] = pointsto.may_sites(symbol_method(cs.node), cs.receiver)
+    shared = {i for may in mays.values() if len(may) > 1 for i in may}
+    for site in sites:
+        if site.index in shared:
+            yield None
+        else:
+            yield frozenset(n for n, may in mays.items() if may and site.index not in may)
+
+
+def restrict_grammar(grammar: BehaviorGrammar, drop: frozenset[str]) -> BehaviorGrammar:
+    """`grammar` without the terminal occurrences whose call site's node is in
+    `drop`, then without repeated rules, as `simplify_grammar` drops them (a
+    builder grammar has none, so a restricted base keeps every rule)."""
+    prods = []
+    changed = False
+    for p in grammar.productions:
+        if any(cs is not None and cs.node in drop for cs in p.sites):
+            keep = [i for i, cs in enumerate(p.sites) if cs is None or cs.node not in drop]
+            p = Production(p.head, tuple(p.body[i] for i in keep), tuple(p.sites[i] for i in keep))
+            changed = True
+        prods.append(p)
+    if not changed:
+        return grammar
+    return BehaviorGrammar(
+        start=grammar.start,
+        terminals=grammar.terminals,
+        productions=_drop_repeated(prods),
+        label=grammar.label,
+    )
+
+
+# --------------------------------------------------------------------------
 # simplification
 
 
@@ -549,21 +623,26 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         out = _inline(grammar, by_head, inline)
         assert out is not None, "the inlined heads still form a cycle"
 
+    return BehaviorGrammar(
+        start=grammar.start,
+        terminals=grammar.terminals,
+        productions=_drop_repeated(out),
+        label=grammar.label,
+    )
+
+
+def _drop_repeated(productions: list[Production]) -> tuple[Production, ...]:
+    """The productions less each repeat of an earlier one."""
     # Repeated rules are found by head and body; sites are compared only
     # between rules that share both, so no CallSite is hashed.
     sites_of: dict[tuple[str, tuple[str, ...]], list[tuple[Optional[CallSite], ...]]] = {}
     deduped: list[Production] = []
-    for p in out:
+    for p in productions:
         twins = sites_of.setdefault((p.head, p.body), [])
         if p.sites not in twins:
             twins.append(p.sites)
             deduped.append(p)
-    return BehaviorGrammar(
-        start=grammar.start,
-        terminals=grammar.terminals,
-        productions=tuple(deduped),
-        label=grammar.label,
-    )
+    return tuple(deduped)
 
 
 # --------------------------------------------------------------------------

@@ -68,9 +68,11 @@ def compute_pointsto(program: Program) -> PointsToResult:
 
     Assignments, argument passing, and returns copy sets; the analysis
     iterates to a fixpoint and ignores control flow.  One walk over each
-    client method body collects its locals, its allocation sites (numbered
-    in walk order) and its value flows; a flow's variables get their keys
-    once every method's locals are known.
+    client method body collects its locals and the expressions whose value
+    goes somewhere; a walk over those expressions collects the allocation
+    sites (numbered in statement order, then depth first) and the value
+    flows, whose variables get their keys once every method's locals are
+    known.
     """
     module_names = {c.name for c in program.modules}
     result = PointsToResult(sites=[], may={})
@@ -79,13 +81,37 @@ def compute_pointsto(program: Program) -> PointsToResult:
     seeds: list[tuple[tuple[str, str], int]] = []  # (variable, site index)
     copies: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (source, dest)
 
-    def flow(method: str, line: int, dest: tuple[str, str] | None, e: Expr) -> None:
-        """Record the sites in e and what of e's value reaches dest (None: nothing)."""
+    # The expressions still to walk, last first, each with its method and
+    # line and where its value goes (None: nowhere).  An explicit stack, not
+    # a nested function that calls itself: such a function holds itself
+    # through its closure, and with it the program, until the cyclic
+    # garbage collector runs.
+    todo: list[tuple[str, int, tuple[str, str] | None, Expr]] = []
+    for c in program.client_classes:
+        for m in c.methods:
+            names = {p.name for p in m.params}
+            for stmt in iter_method_statements(m):
+                if isinstance(stmt, Assign):
+                    if stmt.declares:
+                        names.add(stmt.target)
+                    todo.append((m.name, stmt.line, (m.name, stmt.target), stmt.value))
+                elif isinstance(stmt, Return) and stmt.value is not None:
+                    todo.append((m.name, stmt.line, (m.name, RETURN_SLOT), stmt.value))
+                else:
+                    call = statement_call(stmt)
+                    if call is not None:
+                        todo.append((m.name, stmt.line, None, call))
+            result._locals[m.name] = frozenset(names)
+
+    todo.reverse()
+    while todo:
+        method, line, dest, e = todo.pop()
         if isinstance(e, Ternary):
-            flow(method, line, dest, e.then)
-            flow(method, line, dest, e.other)
+            todo += ((method, line, dest, e.other), (method, line, dest, e.then))
         elif isinstance(e, New) and e.class_name in module_names:
-            site = AllocationSite(len(result.sites), e.class_name, method, program.source_name, line)
+            site = AllocationSite(
+                len(result.sites), e.class_name, method, program.source_name, line
+            )
             result.sites.append(site)
             if dest is not None:
                 seeds.append((dest, site.index))
@@ -97,24 +123,8 @@ def compute_pointsto(program: Program) -> PointsToResult:
                 if dest is not None:
                     copies.append(((e.method, RETURN_SLOT), dest))
                 params = [(e.method, p.name) for p in program.client_methods[e.method].params]
-            for i, arg in enumerate(e.args):
-                flow(method, line, params[i] if i < len(params) else None, arg)
-
-    for c in program.client_classes:
-        for m in c.methods:
-            names = {p.name for p in m.params}
-            for stmt in iter_method_statements(m):
-                if isinstance(stmt, Assign):
-                    if stmt.declares:
-                        names.add(stmt.target)
-                    flow(m.name, stmt.line, (m.name, stmt.target), stmt.value)
-                elif isinstance(stmt, Return) and stmt.value is not None:
-                    flow(m.name, stmt.line, (m.name, RETURN_SLOT), stmt.value)
-                else:
-                    call = statement_call(stmt)
-                    if call is not None:
-                        flow(m.name, stmt.line, None, call)
-            result._locals[m.name] = frozenset(names)
+            for i in reversed(range(len(e.args))):
+                todo.append((method, line, params[i] if i < len(params) else None, e.args[i]))
 
     def key(var: tuple[str, str]) -> str:
         method, name = var

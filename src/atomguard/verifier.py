@@ -34,7 +34,10 @@ from .grammar import (
     build_class_scope_grammar,
     _reachable_methods,
     _shared_lowering,
+    base_site,
+    restrict_grammar,
     simplify_grammar,
+    site_drops,
     symbol_method,
 )
 from .pointsto import AllocationSite, PointsToResult, compute_pointsto, module_alloc_sites
@@ -173,6 +176,10 @@ class Task:
     site: Optional[str]  # allocation site label; None without refinement
     grammar: BehaviorGrammar
     words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...]
+    # Set when `grammar` is the unit's base grammar, which its sites share:
+    # the call nodes whose terminals the site's grammar lacks (see
+    # `restrict_grammar`).  None when `grammar` is the task's own.
+    drop: Optional[frozenset[str]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +205,12 @@ def grammar_stage(
     """One unsimplified grammar per (module, unit, allocation site), in
     report order; modules without contract clauses yield none.  `contract`,
     which needs `module`, replaces that module's own contract.  Each
-    reachable method's CFG is built once and shared until the stream ends."""
+    reachable method's CFG is built once and shared until the stream ends.
+
+    A unit with several allocation sites gets one base grammar, and each
+    site's task carries it with the terminals to drop from it; a site that
+    some call shares with another site gets a grammar of its own instead,
+    as does a unit's only site."""
     if module is None:
         if contract is not None:
             raise AtomguardError("a contract needs the module it is for")
@@ -234,15 +246,31 @@ def grammar_stage(
                     # Receivers that no tracked allocation reaches are opaque;
                     # fall back to the pessimistic grammar, not to no grammar.
                     sites = module_alloc_sites(program, methods, mod, pointsto) or sites
-                for site in sites:
-                    grammar = _grammar(program, mod, unit, site, pointsto)
-                    yield Task(mod.name, unit.label, site.label if site else None, grammar, words)
+                drops = [None]  # one site, or none: no grammar to share
+                if len(sites) > 1:
+                    base = _grammar(program, mod, unit, *base_site(pointsto))
+                    drops = site_drops(base, sites, pointsto)
+                for site, drop in zip(sites, drops):
+                    label = site.label if site else None
+                    if drop is None:
+                        grammar = _grammar(program, mod, unit, site, pointsto)
+                        yield Task(mod.name, unit.label, label, grammar, words)
+                    else:
+                        yield Task(mod.name, unit.label, label, base, words, drop)
 
 
 def simplify_stage(tasks: Iterable[Task]) -> Iterator[Task]:
-    """Each task with its grammar simplified; only the caller keeps the raw one."""
+    """Each task with its own grammar simplified; only the caller keeps the
+    raw one.  A base grammar is simplified once, and each of its sites'
+    grammars is the simplified base restricted to the site."""
+    base = simplified = None
     for task in tasks:
-        yield replace(task, grammar=simplify_grammar(task.grammar))
+        if task.drop is None:
+            yield replace(task, grammar=simplify_grammar(task.grammar))
+            continue
+        if task.grammar is not base:
+            base, simplified = task.grammar, simplify_grammar(task.grammar)
+        yield replace(task, grammar=restrict_grammar(simplified, task.drop), drop=None)
 
 
 def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:

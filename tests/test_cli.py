@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
@@ -397,7 +398,8 @@ def count_layer_calls(monkeypatch, home=atomguard.verifier, names=LAYERS) -> Cou
 
 
 def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
-    # two threads and two allocation sites: four grammars, one word each
+    # two threads and two allocation sites: four grammars, one word each,
+    # derived from one simplified base grammar per thread
     prog = tmp_path / "sites.mg"
     prog.write_text(
         MODULE_AB
@@ -414,7 +416,7 @@ def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
     assert run(["check", *ALL_DUMPS, str(prog)]) == 1
     assert dict(counts) == plain == {
         "compute_pointsto": 1,
-        "simplify_grammar": 4,
+        "simplify_grammar": 2,
         "build_parse_table": 4,
         "parse_subword_until_lca": 4,
     }
@@ -470,6 +472,51 @@ def test_call_sites_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
         per_size[sites] = made["CallSite"]
     capsys.readouterr()
     assert per_size[3] == per_size[12] == 4, "one per module call: p.a, p.b, x0.a, x0.b"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-sites", "shared-site"])
+def test_simplifications_do_not_grow_with_sites(tmp_path, monkeypatch, capsys, shared):
+    # one simplification per (module, unit): each site's grammar is restricted
+    # from its unit's simplified base grammar, except where a call's receiver
+    # (`p`, with `shared`) may point to the site and to others
+    counts = count_layer_calls(monkeypatch)
+    per_size = {}
+    for sites in (3, 12):
+        prog = tmp_path / f"sites{sites}.mg"
+        prog.write_text(sites_program(sites, shared))
+        counts.clear()
+        assert run(["check", str(prog)]) == 1
+        per_size[sites] = counts["simplify_grammar"]
+    capsys.readouterr()
+    if shared:  # t1's sites each get their own grammar, t2's one site is restricted
+        assert per_size == {3: 3 + 1, 12: 12 + 1}
+    else:
+        assert per_size == {3: 2, 12: 2}, "one per (module, unit): M with t1 and t2"
+
+
+def test_checks_leave_no_cyclic_garbage(capsys):
+    # a check frees what it built by reference counting alone: nothing it
+    # leaves behind waits for the cyclic garbage collector
+    files = sorted(PACKAGE_DATA.rglob("*.mg"))
+    run(["check", str(files[0])])  # builds the cached argument parser
+    leftovers = {}
+    gc.collect()
+    gc.freeze()  # collections below only look at what the checks allocate
+    try:
+        for flags in ([], ["--class-scope"], ["--no-points-to"]):
+            for path in files:
+                gc.collect()
+                gc.disable()
+                run(["check", *flags, str(path)])
+                found = gc.collect()
+                gc.enable()
+                if found:
+                    leftovers[" ".join([*flags, path.name])] = found
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    capsys.readouterr()
+    assert leftovers == {}
 
 
 def test_clause_less_module_gets_no_dump_section(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +23,23 @@ from atomguard import (
     compute_pointsto,
     dump_grammar,
     grammar_stage,
+    parse_contract,
     parse_dump,
     parse_program,
     simplify_grammar,
+    simplify_stage,
     symbol_method,
 )
+from atomguard.grammar import _reachable_methods, restrict_grammar
+from atomguard.pointsto import module_alloc_sites
+from atomguard.verifier import _grammar, _units
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program, two_receivers
 from goldens import LOOP_BRANCH_GRAMMAR, RECURSIVE_PAIR_GRAMMAR
 from oracles import find_nonterminal_bijection, reference_build, reference_simplify_grammar
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -524,3 +534,106 @@ def test_class_scope_ignores_escaping_calls():
     c1, c2 = prog.client_classes
     assert bounded_language(build_class_scope_grammar(prog, c1, module), 3) == {("a",)}
     assert bounded_language(build_class_scope_grammar(prog, c2, module), 3) == {("b",)}
+
+
+# ---------------------------------------------------------------------------
+# per-site grammars by restriction of one base grammar per unit
+
+
+def own_grammars(prog, options):
+    """The grammar of every (module, unit, site) in report order, each built
+    on its own by the site's builder: what a restricted grammar must equal."""
+    pointsto = compute_pointsto(prog) if options.get("points_to", True) else None
+    for mod in prog.modules:
+        if not parse_contract(mod.contract_text or "", {m.name for m in mod.methods}).clauses:
+            continue
+        for unit in _units(prog, options.get("class_scope", False)):
+            sites = []
+            if pointsto is not None:
+                methods = _reachable_methods(prog, unit.roots, unit.scope)
+                sites = module_alloc_sites(prog, methods, mod, pointsto)
+            for site in sites or [None]:
+                yield _grammar(prog, mod, unit, site, pointsto)
+
+
+def assert_same_grammar(got, want):
+    assert dump_grammar(got) == dump_grammar(want)
+    assert [p.sites for p in got.productions] == [p.sites for p in want.productions]
+
+
+def assert_sites_restrict_exactly(prog, **options) -> tuple[int, int]:
+    """Each task's raw and simplified grammar equal those of the site's own
+    builder grammar; returns how many site tasks were restricted from their
+    unit's base grammar and how many got a grammar of their own (a unit's
+    only site does)."""
+    tasks = list(grammar_stage(prog, **options))
+    wants = list(own_grammars(prog, options))
+    assert len(tasks) == len(wants)
+    restricted = own = 0
+    for task, simplified, want in zip(tasks, simplify_stage(tasks), wants):
+        raw = task.grammar
+        if task.drop is not None:
+            raw = restrict_grammar(raw, task.drop)
+            restricted += 1
+        elif task.site is not None:
+            own += 1
+        assert_same_grammar(raw, want)
+        assert_same_grammar(simplified.grammar, simplify_grammar(want))
+        assert simplified.drop is None
+    return restricted, own
+
+
+def assert_programs_restrict_exactly(progs, option_sets=({}, {"class_scope": True})):
+    restricted = own = 0
+    for prog in progs:
+        for options in option_sets:
+            r, o = assert_sites_restrict_exactly(prog, **options)
+            restricted += r
+            own += o
+    return restricted, own
+
+
+def test_site_grammars_restrict_exactly_on_bundled_programs():
+    paths = sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))
+    progs = [parse_program(path.read_text(), path.name) for path in paths]
+    restricted, own = assert_programs_restrict_exactly(progs)
+    assert restricted == 0 and own == 80, "no bundled unit has two sites"
+
+
+def test_site_grammars_restrict_exactly_on_random_programs():
+    progs = []
+    for seed in range(500):
+        text, _ = random_program(random.Random(seed))
+        progs.append(parse_program(text, f"seed{seed}.mg"))
+        if seed < 300:
+            text = two_receivers(text, random.Random(f"receivers{seed}"))
+            progs.append(parse_program(text, f"receivers{seed}.mg"))
+    restricted, _ = assert_programs_restrict_exactly(progs)
+    assert restricted > 1000
+
+
+def test_site_grammars_restrict_exactly_on_bench_families():
+    rng = random.Random(7)
+    cases = [families.sites(rng, s) for s in (2, 3, 5, 10, 30)]
+    cases += [families.chain(rng, d) for d in (5, 10, 20, 30, 60)]
+    progs = [parse_program(case.text, f"{case.name}.mg") for case in cases]
+    # sites: two modules and two units of s sites each; chain: one site
+    assert assert_programs_restrict_exactly(progs) == (2 * 4 * (2 + 3 + 5 + 10 + 30), 2 * 5)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a ternary of two allocations: m may be either site
+        "thread void run() { m = cond ? new M() : new M(); m.a(); m.b(); }",
+        # one parameter fed two sites
+        "thread void run() { var x = new M(); var y = new M(); use(x); use(y); }\n"
+        "  void use(M p) { p.a(); p.b(); }",
+    ],
+    ids=["ternary", "parameter"],
+)
+def test_sites_that_share_a_call_get_their_own_grammar(body):
+    prog = parse_program(MODULE + "class C {\n  " + body + "\n}\n", "t.mg")
+    tasks = list(grammar_stage(prog))
+    assert len(tasks) == 2 and all(task.drop is None for task in tasks)
+    assert assert_programs_restrict_exactly([prog]) == (0, 4)
