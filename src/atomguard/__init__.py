@@ -15,7 +15,6 @@ from .contracts import (
     Contract,
     expand_clause,
     parse_contract,
-    parse_parameterized_atom,
 )
 from .errors import (
     AtomguardError,
@@ -45,21 +44,17 @@ from .glr import (
     ParseTree,
     build_parse_table,
     dump_tree,
-    parse_subword,
     parse_subword_until_lca,
     tree_sites,
-    tree_word,
 )
 from .grammar import (
     BehaviorGrammar,
     CallSite,
     Production,
-    bounded_language,
     build_behavior_grammar,
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
     dump_grammar,
-    parse_dump,
     simplify_grammar,
     symbol_method,
 )
@@ -77,7 +72,6 @@ from .verifier import (
     check_unification,
     classify_stage,
     grammar_stage,
-    mark_atomic,
     render_report,
     search_stage,
     simplify_stage,
@@ -118,7 +112,6 @@ __all__ = [
     "UnknownMethodError",
     "UnresolvedMethodError",
     "Violation",
-    "bounded_language",
     "build_behavior_grammar",
     "build_behavior_grammar_pointsto",
     "build_cfg",
@@ -133,13 +126,9 @@ __all__ = [
     "expand_clause",
     "find_thread_entries",
     "grammar_stage",
-    "mark_atomic",
     "module_alloc_sites",
     "parse_contract",
-    "parse_dump",
-    "parse_parameterized_atom",
     "parse_program",
-    "parse_subword",
     "parse_subword_until_lca",
     "render_report",
     "search_stage",
@@ -147,7 +136,6 @@ __all__ = [
     "simplify_stage",
     "symbol_method",
     "tree_sites",
-    "tree_word",
     "verify",
     "verify_with_stats",
 ]

@@ -28,9 +28,7 @@ __all__ = [
     "Clause",
     "Contract",
     "parse_contract",
-    "parse_parameterized_atom",
     "expand_clause",
-    "clause_to_text",
 ]
 
 WILDCARD = "_"
@@ -53,13 +51,6 @@ class CallAtom:
     @property
     def is_parameterized(self) -> bool:
         return self.result_var is not None or self.args is not None
-
-    def to_text(self) -> str:
-        out = f"{self.result_var}=" if self.result_var else ""
-        out += self.method
-        if self.args is not None:
-            out += "(" + ", ".join(self.args) + ")"
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,25 +77,16 @@ class CallSequence:
     def is_parameterized(self) -> bool:
         return any(a.is_parameterized for a in self.atoms)
 
-    def to_text(self) -> str:
-        return " ".join(a.to_text() for a in self.atoms)
-
 
 @dataclass(frozen=True, slots=True)
 class Clause:
     text: str
     seq: _Seq
 
-    def to_text(self) -> str:
-        return clause_to_text(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Contract:
     clauses: tuple[Clause, ...]
-
-    def to_text(self) -> str:
-        return "; ".join(f'"{c.to_text()}"' for c in self.clauses)
 
 
 # --------------------------------------------------------------------------
@@ -301,32 +283,8 @@ def parse_contract(text: str, module_methods: frozenset[str] | set[str]) -> Cont
     return Contract(clauses=tuple(clauses))
 
 
-def parse_parameterized_atom(text: str) -> CallAtom:
-    """Parse a single call pattern like `X=indexOf(_)`."""
-    tokens = _clause_tokens(text)
-    parser = _ClauseParser(tokens, text)
-    atom = parser.parse_atom()
-    if parser.cur is not None:
-        raise ContractError(f"trailing {parser.cur!r} after call pattern {text!r}")
-    return atom
-
-
 # --------------------------------------------------------------------------
-# printing and expansion
-
-
-def _seq_to_text(seq: _Seq) -> str:
-    parts: list[str] = []
-    for item in seq.items:
-        if isinstance(item, CallAtom):
-            parts.append(item.to_text())
-        else:
-            parts.append("(" + " | ".join(_seq_to_text(b) for b in item.branches) + ")")
-    return " ".join(parts)
-
-
-def clause_to_text(clause: Clause) -> str:
-    return _seq_to_text(clause.seq)
+# expansion
 
 
 def _expand_seq(seq: _Seq, max_len: int, text: str) -> list[tuple[CallAtom, ...]]:

@@ -16,7 +16,7 @@ lowest common ancestor of the word's occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
 
@@ -25,10 +25,8 @@ __all__ = [
     "ParseTree",
     "ParseStats",
     "build_parse_table",
-    "parse_subword",
     "parse_subword_until_lca",
     "tree_sites",
-    "tree_word",
     "dump_tree",
 ]
 
@@ -181,10 +179,6 @@ class ParseTree:
         )
 
     @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
     def key(self) -> tuple:
         """Structural identity: `("t", symbol, site node, site line)` for a
         leaf, `("n", production, elided_left, elided_right, child keys)` for
@@ -229,30 +223,23 @@ def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
         node._key = key
 
 
-def _leaves(tree: ParseTree) -> Iterator[ParseTree]:
-    """Leaves left to right, without recursing."""
+def tree_sites(tree: ParseTree) -> list[CallSite]:
+    """Call sites of the word terminals, in occurrence order, found without
+    recursing."""
+    out = []
     todo = [tree]
     while todo:
         node = todo.pop()
-        if node.children is None:
-            yield node
-        else:
+        if node.children is not None:
             todo.extend(reversed(node.children))
+        elif node.site is not None:
+            out.append(node.site)
+    return out
 
 
-def tree_word(tree: ParseTree) -> tuple[str, ...]:
-    """Frontier of materialized terminals, left to right."""
-    return tuple(leaf.symbol for leaf in _leaves(tree))
-
-
-def tree_sites(tree: ParseTree) -> list[CallSite]:
-    """Call sites of the word terminals, in occurrence order."""
-    return [leaf.site for leaf in _leaves(tree) if leaf.site is not None]
-
-
-def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None, indent: str = "") -> str:
+def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None) -> str:
     out: list[str] = []
-    todo = [(tree, indent)]
+    todo = [(tree, "")]
     while todo:
         node, pad = todo.pop()
         if node.children is None:
@@ -283,13 +270,16 @@ class ParseStats:
     trees: int = 0
 
 
-def _parse(
+def parse_subword_until_lca(
     table: ParseTable,
-    word: tuple[str, ...],
-    until_lca: bool,
-    stats: Optional[ParseStats],
+    word: Iterable[str],
+    stats: Optional[ParseStats] = None,
 ) -> list[ParseTree]:
-    """Explore every branch of the subword search, last pushed first.
+    """Parses of the word stopped at the first reduction covering all of it.
+
+    Reductions happen bottom-up, so each returned tree is rooted at the
+    lowest common ancestor of one occurrence of the word.  Every branch of
+    the search is explored, last pushed first.
 
     A branch is a tuple (stack, pos, rec_depth, rec_empty).  The stack is a
     tuple of (state, node) cells; a shifted terminal sits there as its bare
@@ -299,6 +289,7 @@ def _parse(
     a branch may repeat neither, so the search ends.
     """
     grammar = table.grammar
+    word = tuple(word)
     n = len(word)
     if n == 0 or any(t not in grammar.terminals for t in word):
         return []
@@ -306,7 +297,6 @@ def _parse(
     goto_sources = table.goto_sources
     reduce_mid = table.reduce_mid
     reduce_end = table.reduce_end
-    start = grammar.start
     empty = frozenset()
     out: list[ParseTree] = []
     seen_keys: set[tuple] = set()
@@ -377,7 +367,7 @@ def _parse(
                 elided_left, len(prod.body) - dot, eq_syms, z_syms,
             )
 
-            if count == n and (until_lca or (not cut and head == start)):
+            if count == n:
                 _fill_keys(node, interned)
                 key = node._key
                 if key not in seen_keys:
@@ -415,29 +405,3 @@ def _parse(
         stats.trees += len(out)
     return out
 
-
-def parse_subword(
-    table: ParseTable,
-    word: Iterable[str],
-    stats: Optional[ParseStats] = None,
-) -> list[ParseTree]:
-    """All parses of the word as a subword, carried up to the start symbol.
-
-    Every returned tree is rooted at the start symbol with unmatched context
-    recorded as elided body parts; trees repeating a nonterminal on a path
-    without covering new terminals are pruned.
-    """
-    return _parse(table, tuple(word), until_lca=False, stats=stats)
-
-
-def parse_subword_until_lca(
-    table: ParseTable,
-    word: Iterable[str],
-    stats: Optional[ParseStats] = None,
-) -> list[ParseTree]:
-    """Parses of the word stopped at the first reduction covering all of it.
-
-    Reductions happen bottom-up, so each returned tree is rooted at the
-    lowest common ancestor of one occurrence of the word.
-    """
-    return _parse(table, tuple(word), until_lca=True, stats=stats)

@@ -15,7 +15,8 @@ exactly the set of module call sequences the thread can perform.
 Each method is lowered to its call and skip productions once per check; a
 grammar for one module, unit and allocation site selects among them.  The
 checker builds one base grammar per module and unit and derives most site
-grammars from it by deleting terminals (`site_drops`, `restrict_grammar`).
+grammars from it by deleting terminals (`site_drops`, `restrict_grammar`);
+a unit none of whose sites can be derived so builds no base.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "restrict_grammar",
     "simplify_grammar",
     "dump_grammar",
-    "parse_dump",
-    "bounded_language",
     "symbol_method",
 ]
 
@@ -226,24 +225,6 @@ def _lowered(program: Program, method: MethodDecl) -> _Lowered:
     return hit[1]
 
 
-def _resolve_module(program: Program, module) -> ClassDecl:
-    if isinstance(module, ClassDecl):
-        return module
-    cls = program.class_named(module)
-    if cls is None or not cls.is_module:
-        raise AtomguardError(f"no module class named {module!r}")
-    return cls
-
-
-def _resolve_method(program: Program, method) -> MethodDecl:
-    if isinstance(method, MethodDecl):
-        return method
-    decl = program.client_methods.get(method)
-    if decl is None:
-        raise AtomguardError(f"no client method named {method!r}")
-    return decl
-
-
 def _build(
     program: Program,
     module: ClassDecl,
@@ -294,15 +275,15 @@ def _build(
     )
 
 
-def build_behavior_grammar(program: Program, entry, module) -> BehaviorGrammar:
+def build_behavior_grammar(program: Program, entry: str, module: ClassDecl) -> BehaviorGrammar:
     """Grammar of the module call sequences one thread can perform."""
     return build_behavior_grammar_pointsto(program, entry, module, None, None)
 
 
 def build_behavior_grammar_pointsto(
     program: Program,
-    entry,
-    module,
+    entry: str,
+    module: ClassDecl,
     site: Optional[AllocationSite],
     pointsto: Optional[PointsToResult],
 ) -> BehaviorGrammar:
@@ -313,41 +294,36 @@ def build_behavior_grammar_pointsto(
     production; calls that cannot point there are skipped entirely.  Without
     a site (or points-to result) every call is kept.
     """
-    module_cls = _resolve_module(program, module)
-    entry_decl = _resolve_method(program, entry)
+    entry_decl = program.client_methods.get(entry)
+    if entry_decl is None:
+        raise AtomguardError(f"no client method named {entry!r}")
     return _build(
         program,
-        module_cls,
+        module,
         [entry_decl],
-        _method_symbol(entry_decl.name),
+        _method_symbol(entry),
         scope=None,
         site=site,
         pointsto=pointsto,
-        label=entry_decl.name,
+        label=entry,
     )
 
 
 def build_class_scope_grammar(
     program: Program,
-    cls,
-    module,
+    cls: ClassDecl,
+    module: ClassDecl,
     site: Optional[AllocationSite] = None,
     pointsto: Optional[PointsToResult] = None,
 ) -> BehaviorGrammar:
     """Grammar for one client class: any of its methods may start, and calls
     leaving the class are treated as opaque."""
-    module_cls = _resolve_module(program, module)
-    if not isinstance(cls, ClassDecl):
-        found = program.class_named(cls)
-        if found is None or found.is_module:
-            raise AtomguardError(f"no client class named {cls!r}")
-        cls = found
     if not cls.methods:
         raise AtomguardError(f"class {cls.name!r} has no methods")
     scope = frozenset(m.name for m in cls.methods)
     return _build(
         program,
-        module_cls,
+        module,
         list(cls.methods),
         f"{SCOPE_START_PREFIX}{cls.name}",
         scope=scope,
@@ -377,11 +353,16 @@ def base_site(pointsto: PointsToResult) -> tuple[AllocationSite, PointsToResult]
 
 
 def site_drops(
-    base: BehaviorGrammar, sites: list[AllocationSite], pointsto: PointsToResult
-) -> Iterator[Optional[frozenset[str]]]:
+    program: Program,
+    module: ClassDecl,
+    methods: list[str],
+    sites: list[AllocationSite],
+    pointsto: PointsToResult,
+) -> list[Optional[frozenset[str]]]:
     """For each site, the call nodes whose terminals `restrict_grammar`
     deletes from the unit's base grammar to give the site's grammar: the
-    module calls whose receiver may point to other sites only.
+    module calls whose receiver may point to other sites only.  `methods`
+    are the unit's reachable methods, whose module calls the base takes.
 
     The site's own builder grammar takes the same rules as the base at every
     other node, and at these nodes a skip for each call, the call minus its
@@ -391,17 +372,19 @@ def site_drops(
     grammar takes both the call and its skips there); such a site gets None
     and needs a grammar of its own.
     """
-    mays: dict[str, frozenset[int]] = {}  # per module call of the base
-    for p in base.productions:
-        for cs in p.sites:
-            if cs is not None and cs.node not in mays:
-                mays[cs.node] = pointsto.may_sites(symbol_method(cs.node), cs.receiver)
+    module_method_names = {m.name for m in module.methods}
+    mays: dict[str, frozenset[int]] = {}  # per module call node of the unit
+    for name in methods:
+        for node in _lowered(program, program.client_methods[name])[1]:
+            call = node.call
+            if node.calls and call.receiver is not None and call.method in module_method_names:
+                mays[node.calls[0].head] = pointsto.may_sites(name, call.receiver)
     shared = {i for may in mays.values() if len(may) > 1 for i in may}
-    for site in sites:
-        if site.index in shared:
-            yield None
-        else:
-            yield frozenset(n for n, may in mays.items() if may and site.index not in may)
+    return [
+        None if site.index in shared
+        else frozenset(n for n, may in mays.items() if may and site.index not in may)
+        for site in sites
+    ]
 
 
 def restrict_grammar(grammar: BehaviorGrammar, drop: frozenset[str]) -> BehaviorGrammar:
@@ -646,7 +629,7 @@ def _drop_repeated(productions: list[Production]) -> tuple[Production, ...]:
 
 
 # --------------------------------------------------------------------------
-# dump format and bounded language checks
+# dump format
 
 
 def dump_grammar(grammar: BehaviorGrammar) -> str:
@@ -655,65 +638,3 @@ def dump_grammar(grammar: BehaviorGrammar) -> str:
         body = " ".join(p.body) if p.body else EPSILON
         lines.append(f"{p.head} -> {body}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dump(text: str) -> BehaviorGrammar:
-    """Inverse of dump_grammar; terminals are the symbols never used as heads."""
-    start: Optional[str] = None
-    raw: list[tuple[str, tuple[str, ...]]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("Start:"):
-            start = line.split(":", 1)[1].strip()
-            continue
-        if "->" not in line:
-            raise AtomguardError(f"bad grammar line {line!r}")
-        head, body_text = line.split("->", 1)
-        body = tuple(body_text.split())
-        if body == (EPSILON,):
-            body = ()
-        raw.append((head.strip(), body))
-    if start is None:
-        raise AtomguardError("grammar dump lacks a Start: line")
-    heads = {h for h, _ in raw}
-    terminals = {s for _, body in raw for s in body if s not in heads}
-    return BehaviorGrammar(
-        start=start,
-        terminals=frozenset(terminals),
-        productions=tuple(Production(h, b) for h, b in raw),
-    )
-
-
-def bounded_language(grammar: BehaviorGrammar, max_len: int) -> frozenset[tuple[str, ...]]:
-    """All words of the grammar up to max_len terminals, computed exactly.
-
-    Fixpoint over per-nonterminal word sets; concatenations longer than the
-    bound are discarded, which cannot lose any word within the bound.
-    """
-    words: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in grammar.nonterminals}
-
-    def seq_words(body: tuple[str, ...]) -> set[tuple[str, ...]]:
-        acc: set[tuple[str, ...]] = {()}
-        for sym in body:
-            if sym in grammar.terminals:
-                parts: set[tuple[str, ...]] = {(sym,)}
-            else:
-                parts = words[sym]
-            acc = {
-                w + p for w in acc for p in parts if len(w) + len(p) <= max_len
-            }
-            if not acc:
-                return set()
-        return acc
-
-    changed = True
-    while changed:
-        changed = False
-        for p in grammar.productions:
-            new = seq_words(p.body)
-            if not new.issubset(words[p.head]):
-                words[p.head] |= new
-                changed = True
-    return frozenset(words.get(grammar.start, set()))

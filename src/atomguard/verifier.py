@@ -55,7 +55,6 @@ __all__ = [
     "verify_with_stats",
     "check_unification",
     "render_report",
-    "mark_atomic",
 ]
 
 
@@ -210,7 +209,8 @@ def grammar_stage(
     A unit with several allocation sites gets one base grammar, and each
     site's task carries it with the terminals to drop from it; a site that
     some call shares with another site gets a grammar of its own instead,
-    as does a unit's only site."""
+    as does a unit's only site.  The base is built only if some site uses
+    it."""
     if module is None:
         if contract is not None:
             raise AtomguardError("a contract needs the module it is for")
@@ -248,8 +248,9 @@ def grammar_stage(
                     sites = module_alloc_sites(program, methods, mod, pointsto) or sites
                 drops = [None]  # one site, or none: no grammar to share
                 if len(sites) > 1:
-                    base = _grammar(program, mod, unit, *base_site(pointsto))
-                    drops = site_drops(base, sites, pointsto)
+                    drops = site_drops(program, mod, methods, sites, pointsto)
+                    if any(drop is not None for drop in drops):
+                        base = _grammar(program, mod, unit, *base_site(pointsto))
                 for site, drop in zip(sites, drops):
                     label = site.label if site else None
                     if drop is None:
@@ -350,14 +351,6 @@ def verify(program: Program, module=None, contract=None, **options) -> list[Viol
     """All contract violations of the program, deduplicated and ordered; takes
     the arguments of `verify_with_stats`."""
     return verify_with_stats(program, module, contract, **options)[0]
-
-
-def mark_atomic(program: Program, method_name: str) -> None:
-    """Flip one client method to atomic (the fix a report suggests)."""
-    decl = program.client_methods.get(method_name)
-    if decl is None:
-        raise AtomguardError(f"no client method named {method_name!r}")
-    decl.is_atomic = True
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Everything in this module recomputes expected results from first principles,
 without going through the grammar or parser pipelines under test: clause
 expansion by direct enumeration, call traces by interpreting the statement
-tree, atomically-executed methods by a standalone fixpoint, and structural
-checks on parse trees.  It also keeps the original character-at-a-time
-tokenizer, the original per-grammar CFG walk, the original quadratic grammar
+tree, atomically-executed methods by a standalone fixpoint, bounded grammar
+languages by a fixpoint over word sets, and structural checks on parse
+trees.  It also keeps the original character-at-a-time tokenizer, the
+original per-grammar CFG walk, the original quadratic grammar
 simplification, the original three-walk points-to analysis and the original
 subword search as the references the pipeline's versions must reproduce.
+That search also keeps the full-parse mode (trees carried up to the start
+symbol), which the checker does not ship.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from atomguard import (
+    AtomguardError,
     BehaviorGrammar,
     CallSite,
     ParseStats,
@@ -47,6 +51,7 @@ from atomguard.frontend.syntax import (
     expr_text,
 )
 from atomguard.grammar import (
+    EPSILON,
     SCOPE_START_PREFIX,
     _method_symbol,
     _node_symbol,
@@ -120,6 +125,72 @@ def reference_tokenize(source: str, filename: str = "<string>") -> list[Token]:
             raise SourceSyntaxError(f"unexpected character {ch!r}", filename, line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Grammar dumps read back, and bounded languages
+
+
+def parse_dump(text: str) -> BehaviorGrammar:
+    """Inverse of dump_grammar; terminals are the symbols never used as heads."""
+    start: Optional[str] = None
+    raw: list[tuple[str, tuple[str, ...]]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("Start:"):
+            start = line.split(":", 1)[1].strip()
+            continue
+        if "->" not in line:
+            raise AtomguardError(f"bad grammar line {line!r}")
+        head, body_text = line.split("->", 1)
+        body = tuple(body_text.split())
+        if body == (EPSILON,):
+            body = ()
+        raw.append((head.strip(), body))
+    if start is None:
+        raise AtomguardError("grammar dump lacks a Start: line")
+    heads = {h for h, _ in raw}
+    terminals = {s for _, body in raw for s in body if s not in heads}
+    return BehaviorGrammar(
+        start=start,
+        terminals=frozenset(terminals),
+        productions=tuple(Production(h, b) for h, b in raw),
+    )
+
+
+def bounded_language(grammar: BehaviorGrammar, max_len: int) -> frozenset[tuple[str, ...]]:
+    """All words of the grammar up to max_len terminals, computed exactly.
+
+    Fixpoint over per-nonterminal word sets; concatenations longer than the
+    bound are discarded, which cannot lose any word within the bound.
+    """
+    words: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in grammar.nonterminals}
+
+    def seq_words(body: tuple[str, ...]) -> set[tuple[str, ...]]:
+        acc: set[tuple[str, ...]] = {()}
+        for sym in body:
+            if sym in grammar.terminals:
+                parts: set[tuple[str, ...]] = {(sym,)}
+            else:
+                parts = words[sym]
+            acc = {
+                w + p for w in acc for p in parts if len(w) + len(p) <= max_len
+            }
+            if not acc:
+                return set()
+        return acc
+
+    changed = True
+    while changed:
+        changed = False
+        for p in grammar.productions:
+            new = seq_words(p.body)
+            if not new.issubset(words[p.head]):
+                words[p.head] |= new
+                changed = True
+    return frozenset(words.get(grammar.start, set()))
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +898,15 @@ def _lca_method(window: Sequence[TraceEvent]) -> str:
 # Structural invariant on parse trees
 
 
+def tree_word(tree: ParseTree) -> tuple[str, ...]:
+    """Frontier of materialized terminals, left to right."""
+    if tree.children is None:
+        return (tree.symbol,)
+    return tuple(sym for child in tree.children for sym in tree_word(child))
+
+
 def tree_word_count(tree: ParseTree) -> int:
-    if tree.is_leaf:
+    if tree.children is None:
         return 1
     return sum(tree_word_count(c) for c in tree.children)
 
@@ -844,7 +922,7 @@ def assert_tree_pruned(tree: ParseTree) -> None:
 
 
 def _walk_pruned(tree: ParseTree, seen: frozenset[tuple[str, int]]) -> None:
-    if tree.is_leaf:
+    if tree.children is None:
         return
     key = (tree.symbol, tree_word_count(tree))
     assert key not in seen, f"unproductive repetition of {key[0]} (count {key[1]})"

@@ -376,6 +376,7 @@ def test_dumps_match_frozen_digests(flags, monkeypatch, capsys):
 
 
 LAYERS = ("compute_pointsto", "simplify_grammar", "build_parse_table", "parse_subword_until_lca")
+BUILDERS = ("build_behavior_grammar", "build_behavior_grammar_pointsto", "build_class_scope_grammar")
 
 
 def count_layer_calls(monkeypatch, home=atomguard.verifier, names=LAYERS) -> Counter:
@@ -478,20 +479,25 @@ def test_call_sites_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
 def test_simplifications_do_not_grow_with_sites(tmp_path, monkeypatch, capsys, shared):
     # one simplification per (module, unit): each site's grammar is restricted
     # from its unit's simplified base grammar, except where a call's receiver
-    # (`p`, with `shared`) may point to the site and to others
-    counts = count_layer_calls(monkeypatch)
+    # (`p`, with `shared`) may point to the site and to others; a unit builds
+    # its base grammar only when some site is restricted from it
+    counts = count_layer_calls(monkeypatch, names=LAYERS + BUILDERS)
     per_size = {}
     for sites in (3, 12):
         prog = tmp_path / f"sites{sites}.mg"
         prog.write_text(sites_program(sites, shared))
         counts.clear()
         assert run(["check", str(prog)]) == 1
-        per_size[sites] = counts["simplify_grammar"]
+        builds = sum(counts[name] for name in BUILDERS)
+        per_size[sites] = (counts["simplify_grammar"], builds)
     capsys.readouterr()
-    if shared:  # t1's sites each get their own grammar, t2's one site is restricted
-        assert per_size == {3: 3 + 1, 12: 12 + 1}
+    if shared:
+        # t1's sites each get their own grammar and t1 builds no base; t2
+        # has one site, so one grammar
+        assert per_size == {3: (3 + 1, 3 + 1), 12: (12 + 1, 12 + 1)}
     else:
-        assert per_size == {3: 2, 12: 2}, "one per (module, unit): M with t1 and t2"
+        # per (module, unit): t1's base, and t2's one site
+        assert per_size == {3: (2, 2), 12: (2, 2)}
 
 
 def test_checks_leave_no_cyclic_garbage(capsys):

@@ -11,24 +11,27 @@ from hypothesis import strategies as st
 
 from atomguard import (
     ParseStats,
-    bounded_language,
     build_behavior_grammar,
     build_parse_table,
     dump_tree,
-    parse_dump,
     parse_program,
-    parse_subword,
     parse_subword_until_lca,
     simplify_grammar,
     symbol_method,
     tree_sites,
-    tree_word,
     verify_with_stats,
 )
 from atomguard.verifier import grammar_stage, simplify_stage
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
-from oracles import assert_tree_pruned, reference_parse, tree_word_count
+from oracles import (
+    assert_tree_pruned,
+    bounded_language,
+    parse_dump,
+    reference_parse,
+    tree_word,
+    tree_word_count,
+)
 
 
 def table_for(name: str, entry: str):
@@ -37,18 +40,11 @@ def table_for(name: str, entry: str):
     return build_parse_table(grammar), grammar
 
 
-def total_elisions(tree) -> int:
-    total = tree.elided_left + tree.elided_right
-    for child in tree.children or ():
-        total += total_elisions(child)
-    return total
-
-
 def assert_minimal_cover(tree) -> None:
     """No internal node below the root may already cover the whole word."""
 
     def walk(node, is_root):
-        if node.is_leaf:
+        if node.children is None:
             return
         if not is_root:
             assert tree_word_count(node) < tree_word_count(tree)
@@ -89,14 +85,28 @@ def test_conflicting_actions_are_kept_as_data():
 
 
 def test_membership_agrees_with_bounded_enumeration():
-    table, grammar = table_for("nested_calls.mg", "run")
-    language = bounded_language(grammar, 5)
-    terms = sorted(grammar.terminals)
-    for length in range(1, 5):
-        for word in product(terms, repeat=length):
-            trees = parse_subword(table, word)
-            member = any(total_elisions(t) == 0 for t in trees)
-            assert member == (word in language), word
+    # the search finds a word exactly when it is a factor of some word of the
+    # language; recursive_pair.mg is left out, as its words outgrow any bound
+    words = 0
+    for name, entry in [
+        ("nested_calls.mg", "run"),
+        ("branching_client.mg", "run"),
+        ("loop_branch.mg", "f"),
+    ]:
+        table, grammar = table_for(name, entry)
+        factors = {
+            w[i:j]
+            for w in bounded_language(grammar, 6)
+            for i in range(len(w))
+            for j in range(i + 1, len(w) + 1)
+        }
+        terms = sorted(grammar.terminals)
+        for length in range(1, 5):
+            for word in product(terms, repeat=length):
+                found = bool(parse_subword_until_lca(table, word))
+                assert found == (word in factors), (name, word)
+                words += 1
+    assert words == 490
 
 
 def test_occurrence_counts_on_reference_programs():
@@ -115,7 +125,7 @@ def test_repeated_terminal_nests_in_the_loop():
     (tree,) = parse_subword_until_lca(table, ("a", "b", "b", "c"))
 
     def depths(node, term, depth=0):
-        if node.is_leaf:
+        if node.children is None:
             return [depth] if node.symbol == term else []
         out = []
         for child in node.children:
@@ -133,13 +143,13 @@ def test_repeated_terminal_nests_in_the_loop():
 def test_full_parse_lca():
     table, _ = table_for("nested_calls.mg", "run")
     word = ("a", "b", "b", "c")
-    (full,) = parse_subword(table, word)
+    (full,) = reference_parse(table, word, False, None)
     (lca,) = parse_subword_until_lca(table, word)
     assert symbol_method(lca.symbol) == "run"
 
     def covering(node):
         # nodes of the full parse that cover the whole word, root first
-        if node.is_leaf or node.count < len(word):
+        if node.children is None or node.count < len(word):
             return []
         return [node] + [n for child in node.children for n in covering(child)]
 
@@ -221,7 +231,7 @@ def test_all_reference_parses_are_pruned_and_minimal():
         for tree in parse_subword_until_lca(table, word):
             assert_tree_pruned(tree)
             assert_minimal_cover(tree)
-        for tree in parse_subword(table, word):
+        for tree in reference_parse(table, word, False, None):
             assert_tree_pruned(tree)
 
 
@@ -335,35 +345,25 @@ def tree_fields(tree):
     )
 
 
-def assert_search_like_reference(table, word) -> bool:
+def assert_search_like_reference(table, word) -> None:
     """Both searches find the same trees in the same order, over the same
-    number of branches.  The full parse is compared only where the until-LCA
-    search stays small, since the full parse can blow up; returns whether it
-    was."""
+    number of branches."""
     got_stats, want_stats = ParseStats(), ParseStats()
     got = parse_subword_until_lca(table, word, got_stats)
     want = reference_parse(table, word, True, want_stats)
     assert [tree_fields(t) for t in got] == [tree_fields(t) for t in want], word
     assert (got_stats.branches, got_stats.trees) == (want_stats.branches, want_stats.trees)
-    if want_stats.branches >= 100:
-        return False
-    got_stats, want_stats = ParseStats(), ParseStats()
-    got = parse_subword(table, word, got_stats)
-    want = reference_parse(table, word, False, want_stats)
-    assert [tree_fields(t) for t in got] == [tree_fields(t) for t in want], word
-    assert (got_stats.branches, got_stats.trees) == (want_stats.branches, want_stats.trees)
-    return True
 
 
 @pytest.mark.parametrize("flags", sorted(FLAGS))
 def test_search_matches_reference_on_bundled_programs(flags):
-    searched = full = 0
+    searched = 0
     for path in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg")):
         program = parse_program(path.read_text(), path.name)
         for table, word in searches(program, **FLAGS[flags]):
-            full += assert_search_like_reference(table, word)
+            assert_search_like_reference(table, word)
             searched += 1
-    assert searched > 40 and full > 20, (searched, full)
+    assert searched > 40, searched
 
 
 @settings(max_examples=150, deadline=None)

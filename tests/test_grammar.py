@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import atomguard.grammar
 from atomguard import (
+    AtomguardError,
     BehaviorGrammar,
     CallSite,
     Production,
-    bounded_language,
     build_behavior_grammar,
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
@@ -24,7 +24,6 @@ from atomguard import (
     dump_grammar,
     grammar_stage,
     parse_contract,
-    parse_dump,
     parse_program,
     simplify_grammar,
     simplify_stage,
@@ -36,7 +35,13 @@ from atomguard.verifier import _grammar, _units
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program, two_receivers
 from goldens import LOOP_BRANCH_GRAMMAR, RECURSIVE_PAIR_GRAMMAR
-from oracles import find_nonterminal_bijection, reference_build, reference_simplify_grammar
+from oracles import (
+    bounded_language,
+    find_nonterminal_bijection,
+    parse_dump,
+    reference_build,
+    reference_simplify_grammar,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import families  # noqa: E402
@@ -534,6 +539,15 @@ def test_class_scope_ignores_escaping_calls():
     c1, c2 = prog.client_classes
     assert bounded_language(build_class_scope_grammar(prog, c1, module), 3) == {("a",)}
     assert bounded_language(build_class_scope_grammar(prog, c2, module), 3) == {("b",)}
+
+
+def test_builders_reject_a_missing_entry_and_an_empty_class():
+    prog = parse_program(MODULE + "class C {\n  thread void run() { }\n}\nclass E { }\n", "t.mg")
+    module = prog.modules[0]
+    with pytest.raises(AtomguardError, match="no client method named 'nope'"):
+        build_behavior_grammar(prog, "nope", module)
+    with pytest.raises(AtomguardError, match="class 'E' has no methods"):
+        build_class_scope_grammar(prog, prog.client_classes[1], module)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Every name a package module imports is read in that module."""
+"""Every name a package module imports is read in that module, every name
+it exports is bound there, and the README's API snippets run."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import re
 
 import pytest
 
-from conftest import PACKAGE_DATA
+from conftest import CORPUS, PACKAGE_DATA
 
 PACKAGE = PACKAGE_DATA.parent
+README = PACKAGE.parent.parent / "README.md"
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,8 +52,55 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["sys (line 3)", "z (line 5)"]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in the module's `__all__` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_unbound_exports_are_found():
+    source = (
+        "from .x import y\n"
+        "Z: int = 1\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "__all__ = ['y', 'Z', 'f', 'C', 'gone']\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_api_snippets_run():
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1].split("\n## ", 1)[0]
+    first, second = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {"text": (CORPUS / "local_counter.bad.mg").read_text()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(first, namespace)
+    reported = namespace["violations"]
+    assert reported and out.getvalue() == namespace["render_report"](reported)
+    exec(second, namespace)
+    assert namespace["violations"] == reported
+    assert namespace["stats"].grammars == len(namespace["checks"]) == len(namespace["tasks"])

@@ -12,7 +12,6 @@ import atomguard.grammar
 from atomguard import (
     AtomguardError,
     compute_atomically_executed,
-    mark_atomic,
     parse_contract,
     parse_program,
     render_report,
@@ -185,14 +184,8 @@ def test_identical_occurrences_are_deduplicated():
 def test_mark_atomic_fixes_the_report():
     prog = load_program("branching_client.mg")
     (violation,) = verify(prog)
-    mark_atomic(prog, violation.lca_method)
+    prog.client_methods[violation.lca_method].is_atomic = True
     assert verify(prog) == []
-
-
-def test_mark_atomic_rejects_unknown_methods():
-    prog = load_program("branching_client.mg")
-    with pytest.raises(AtomguardError):
-        mark_atomic(prog, "nope")
 
 
 def test_verify_requires_a_module():
