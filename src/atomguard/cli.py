@@ -14,14 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cache
 from pathlib import Path
+from typing import Optional
 
 from .errors import AtomguardError
 from .frontend.parser import parse_program
 from .glr import dump_tree
 from .grammar import BehaviorGrammar, dump_grammar, restrict_grammar
+from .records import Record
 from .verifier import (
     Check,
     RunStats,
@@ -37,14 +38,17 @@ from .verifier import (
 __all__ = ["Config", "run", "run_corpus", "main"]
 
 
-@dataclass(slots=True)
-class Config:
-    class_scope: bool = False
-    points_to: bool = True
-    fmt: str = "text"
-    dumps: set[str] = field(default_factory=set)  # {"grammar", "trees", "table"}
-    max_clause_len: int = 16
-    color: bool = False
+class Config(Record):
+    __slots__ = ("class_scope", "points_to", "fmt", "dumps", "max_clause_len", "color")
+
+    def __init__(self, class_scope: bool = False, points_to: bool = True, fmt: str = "text",
+                 dumps: Optional[set[str]] = None, max_clause_len: int = 16, color: bool = False):
+        self.class_scope = class_scope
+        self.points_to = points_to
+        self.fmt = fmt
+        self.dumps = set() if dumps is None else dumps  # {"grammar", "trees", "table"}
+        self.max_clause_len = max_clause_len
+        self.color = color
 
 
 def _want_color() -> bool:
@@ -122,6 +126,17 @@ def _render_table(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _word_length(text: str) -> int:
+    """A `--max-clause-len` bound: a whole number, at least 1."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {bound}")
+    return bound
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -138,7 +153,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-grammar", action="store_true")
         p.add_argument("--dump-trees", action="store_true")
         p.add_argument("--dump-table", action="store_true")
-        p.add_argument("--max-clause-len", type=int, default=16, metavar="N")
+        p.add_argument("--max-clause-len", type=_word_length, default=16, metavar="N")
 
     p_check = sub.add_parser("check", help="analyze one or more programs")
     p_check.add_argument("files", nargs="+", metavar="FILE")
@@ -197,7 +212,8 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
     A pair passes when the bad program reports at least one violation and
     the fixed program reports none.
     """
-    quiet = replace(config or Config(), dumps=set())  # pairs print no dumps
+    c = config or Config()  # pairs print no dumps
+    quiet = Config(c.class_scope, c.points_to, c.fmt, set(), c.max_clause_len, c.color)
     root = Path(directory)
     if not root.is_dir():
         return 2, f"atomguard: not a directory: {directory}\n"

@@ -12,7 +12,6 @@ arguments and results to variables for data-flow filtering:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     StarNotAllowedError,
     UnknownMethodError,
 )
+from .records import HashableRecord
 
 __all__ = [
     "CallAtom",
@@ -35,8 +35,7 @@ WILDCARD = "_"
 MAX_GROUP_NESTING = 100  # parenthesized groups inside one another
 
 
-@dataclass(frozen=True, slots=True)
-class CallAtom:
+class CallAtom(HashableRecord):
     """One call pattern: optional result variable, method, argument patterns.
 
     args is None when the atom has no parenthesized argument list (no
@@ -44,30 +43,40 @@ class CallAtom:
     Variables are uppercase-initial identifiers.
     """
 
-    method: str
-    result_var: Optional[str] = None
-    args: Optional[tuple[str, ...]] = None
+    __slots__ = ("method", "result_var", "args")
+
+    def __init__(self, method: str, result_var: Optional[str] = None,
+                 args: Optional[tuple[str, ...]] = None):
+        self.method = method
+        self.result_var = result_var
+        self.args = args
 
     @property
     def is_parameterized(self) -> bool:
         return self.result_var is not None or self.args is not None
 
 
-@dataclass(frozen=True, slots=True)
-class _Group:
-    branches: tuple["_Seq", ...]
+class _Group(HashableRecord):
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: tuple[_Seq, ...]):
+        self.branches = branches
 
 
-@dataclass(frozen=True, slots=True)
-class _Seq:
-    items: tuple[Union[CallAtom, _Group], ...]
+class _Seq(HashableRecord):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Union[CallAtom, _Group], ...]):
+        self.items = items
 
 
-@dataclass(frozen=True, slots=True)
-class CallSequence:
+class CallSequence(HashableRecord):
     """One expanded word of a clause: a fixed sequence of call atoms."""
 
-    atoms: tuple[CallAtom, ...]
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[CallAtom, ...]):
+        self.atoms = atoms
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -78,15 +87,19 @@ class CallSequence:
         return any(a.is_parameterized for a in self.atoms)
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    text: str
-    seq: _Seq
+class Clause(HashableRecord):
+    __slots__ = ("text", "seq")
+
+    def __init__(self, text: str, seq: _Seq):
+        self.text = text
+        self.seq = seq
 
 
-@dataclass(frozen=True, slots=True)
-class Contract:
-    clauses: tuple[Clause, ...]
+class Contract(HashableRecord):
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[Clause, ...]):
+        self.clauses = clauses
 
 
 # --------------------------------------------------------------------------

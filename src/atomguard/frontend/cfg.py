@@ -8,9 +8,9 @@ body first, fall-through last.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ..records import Record
 from .syntax import (
     Assign,
     Block,
@@ -36,21 +36,27 @@ class NodeKind(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(slots=True)
-class CfgNode:
-    index: int
-    kind: NodeKind
-    line: int
-    succ: list[int] = field(default_factory=list)
-    call: Optional[Call] = None
-    result_var: Optional[str] = None  # variable receiving the call result
-    stmt: Optional[Stmt] = None
+class CfgNode(Record):
+    __slots__ = ("index", "kind", "line", "succ", "call", "result_var", "stmt")
+
+    def __init__(self, index: int, kind: NodeKind, line: int, succ: Optional[list[int]] = None,
+                 call: Optional[Call] = None, result_var: Optional[str] = None,
+                 stmt: Optional[Stmt] = None):
+        self.index = index
+        self.kind = kind
+        self.line = line
+        self.succ = [] if succ is None else succ
+        self.call = call
+        self.result_var = result_var  # variable receiving the call result
+        self.stmt = stmt
 
 
-@dataclass(slots=True)
-class Cfg:
-    method: MethodDecl
-    nodes: list[CfgNode]
+class Cfg(Record):
+    __slots__ = ("method", "nodes")
+
+    def __init__(self, method: MethodDecl, nodes: list[CfgNode]):
+        self.method = method
+        self.nodes = nodes
 
     @property
     def entry(self) -> CfgNode:

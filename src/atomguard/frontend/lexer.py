@@ -9,9 +9,9 @@ followed by one) is scanned a character at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import SourceSyntaxError
+from ..records import Record
 
 KEYWORDS = frozenset(
     {
@@ -58,12 +58,14 @@ PUNCT = (
 )
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # "ident" | "int" | "string" | "kw" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # "ident" | "int" | "string" | "kw" | "punct" | "eof"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 # One alternative per lexeme, and a last one for any other character but a

@@ -7,62 +7,79 @@ ignored by the analysis.  All other classes are client code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from ..records import HashableRecord, Record
 
 # --------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
-    id: str
+class Name(HashableRecord):
+    __slots__ = ("id",)
+
+    def __init__(self, id: str):
+        self.id = id
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
+class IntLit(HashableRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class CondExpr:
+class CondExpr(HashableRecord):
     """Opaque nondeterministic value (the `cond` keyword)."""
 
-
-@dataclass(frozen=True, slots=True)
-class New:
-    class_name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str
-    operand: "Expr"
+class New(HashableRecord):
+    __slots__ = ("class_name",)
+
+    def __init__(self, class_name: str):
+        self.class_name = class_name
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Unary(HashableRecord):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass(frozen=True, slots=True)
-class Ternary:
-    cond: "Expr"
-    then: "Expr"
-    other: "Expr"
+class Binary(HashableRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
-class Call:
+class Ternary(HashableRecord):
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Expr, other: Expr):
+        self.cond = cond
+        self.then = then
+        self.other = other
+
+
+class Call(Record):
     """A call expression.  receiver None means a bare (client) call."""
 
-    receiver: Optional[str]
-    method: str
-    args: tuple["Expr", ...]
-    line: int
-    column: int
+    __slots__ = ("receiver", "method", "args", "line", "column")
+
+    def __init__(self, receiver: Optional[str], method: str, args: tuple[Expr, ...], line: int,
+                 column: int):
+        self.receiver = receiver
+        self.method = method
+        self.args = args
+        self.line = line
+        self.column = column
 
 
 Expr = Union[Name, IntLit, CondExpr, New, Unary, Binary, Ternary, Call]
@@ -99,52 +116,66 @@ def expr_text(e: Expr) -> str:
 # statements
 
 
-@dataclass(slots=True)
-class Block:
-    stmts: list["Stmt"]
+class Block(Record):
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: list[Stmt]):
+        self.stmts = stmts
 
 
-@dataclass(slots=True)
-class If:
-    cond: Expr
-    then: "Stmt"
-    orelse: Optional["Stmt"]
-    line: int
+class If(Record):
+    __slots__ = ("cond", "then", "orelse", "line")
+
+    def __init__(self, cond: Expr, then: Stmt, orelse: Optional[Stmt], line: int):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
+        self.line = line
 
 
-@dataclass(slots=True)
-class While:
-    cond: Expr
-    body: "Stmt"
-    line: int
+class While(Record):
+    __slots__ = ("cond", "body", "line")
+
+    def __init__(self, cond: Expr, body: Stmt, line: int):
+        self.cond = cond
+        self.body = body
+        self.line = line
 
 
-@dataclass(slots=True)
-class Return:
-    value: Optional[Expr]
-    line: int
+class Return(Record):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: Optional[Expr], line: int):
+        self.value = value
+        self.line = line
 
 
-@dataclass(slots=True)
-class Assign:
+class Assign(Record):
     """`x = e;` or `var x = e;` (declares=True)."""
 
-    target: str
-    value: Expr
-    declares: bool
-    line: int
+    __slots__ = ("target", "value", "declares", "line")
+
+    def __init__(self, target: str, value: Expr, declares: bool, line: int):
+        self.target = target
+        self.value = value
+        self.declares = declares
+        self.line = line
 
 
-@dataclass(slots=True)
-class Increment:
-    target: str
-    line: int
+class Increment(Record):
+    __slots__ = ("target", "line")
+
+    def __init__(self, target: str, line: int):
+        self.target = target
+        self.line = line
 
 
-@dataclass(slots=True)
-class ExprStmt:
-    call: Call
-    line: int
+class ExprStmt(Record):
+    __slots__ = ("call", "line")
+
+    def __init__(self, call: Call, line: int):
+        self.call = call
+        self.line = line
 
 
 Stmt = Union[Block, If, While, Return, Assign, Increment, ExprStmt]
@@ -165,44 +196,60 @@ def statement_call(stmt: Stmt) -> Optional[Call]:
 # declarations
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
-    name: str
-    type_name: Optional[str] = None
+class Param(HashableRecord):
+    __slots__ = ("name", "type_name")
+
+    def __init__(self, name: str, type_name: Optional[str] = None):
+        self.name = name
+        self.type_name = type_name
 
 
-@dataclass(slots=True)
-class MethodDecl:
-    name: str
-    params: tuple[Param, ...]
-    return_type: str
-    body: Block
-    is_atomic: bool
-    is_thread: bool
-    class_name: str
-    line: int
+class MethodDecl(Record):
+    __slots__ = (
+        "name", "params", "return_type", "body", "is_atomic", "is_thread", "class_name", "line"
+    )
+
+    def __init__(self, name: str, params: tuple[Param, ...], return_type: str, body: Block,
+                 is_atomic: bool, is_thread: bool, class_name: str, line: int):
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.is_atomic = is_atomic
+        self.is_thread = is_thread
+        self.class_name = class_name
+        self.line = line
 
 
-@dataclass(slots=True)
-class ClassDecl:
-    name: str
-    methods: list[MethodDecl]
-    contract_text: Optional[str]  # raw annotation body, None for client classes
-    line: int
+class ClassDecl(Record):
+    __slots__ = ("name", "methods", "contract_text", "line")
+
+    def __init__(self, name: str, methods: list[MethodDecl], contract_text: Optional[str],
+                 line: int):
+        self.name = name
+        self.methods = methods
+        self.contract_text = contract_text  # raw annotation body, None for client classes
+        self.line = line
 
     @property
     def is_module(self) -> bool:
         return self.contract_text is not None
 
 
-@dataclass(slots=True)
-class Program:
-    classes: list[ClassDecl]
-    source_name: str
-    # Resolution indexes, filled by the parser:
-    client_methods: dict[str, MethodDecl] = field(default_factory=dict)
-    module_methods: dict[str, list[str]] = field(default_factory=dict)  # name -> module classes
-    calls: dict[str, list[Call]] = field(default_factory=dict)  # client method -> calls, in order
+class Program(Record):
+    __slots__ = ("classes", "source_name", "client_methods", "module_methods", "calls")
+
+    def __init__(self, classes: list[ClassDecl], source_name: str,
+                 client_methods: Optional[dict[str, MethodDecl]] = None,
+                 module_methods: Optional[dict[str, list[str]]] = None,
+                 calls: Optional[dict[str, list[Call]]] = None):
+        self.classes = classes
+        self.source_name = source_name
+        # Resolution indexes, filled by the parser:
+        self.client_methods = {} if client_methods is None else client_methods
+        # name -> module classes
+        self.module_methods = {} if module_methods is None else module_methods
+        self.calls = {} if calls is None else calls  # client method -> calls, in order
 
     @property
     def modules(self) -> list[ClassDecl]:

@@ -15,10 +15,10 @@ lowest common ancestor of the word's occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
+from .records import HashableRecord, Record
 
 __all__ = [
     "ParseTable",
@@ -37,20 +37,32 @@ AUGMENTED_HEAD = "$accept"
 # parse table
 
 
-@dataclass(frozen=True)
-class ParseTable:
-    grammar: BehaviorGrammar
-    productions: tuple[Production, ...]  # grammar productions + augmented rule
-    states: tuple[frozenset[tuple[int, int]], ...]
-    goto: dict[tuple[int, str], int]
-    shift_states: dict[str, tuple[int, ...]]
-    goto_sources: dict[str, tuple[tuple[int, int], ...]]
-    # per state, the search's reductions as (production, index, dot): every
-    # complete item before the end of the word; at its end the complete
-    # non-epsilon items, then the items with the dot mid-body (their unseen
-    # right part is context)
-    reduce_mid: tuple[tuple[tuple[Production, int, int], ...], ...]
-    reduce_end: tuple[tuple[tuple[Production, int, int], ...], ...]
+_Reductions = tuple[tuple[tuple[Production, int, int], ...], ...]
+
+
+class ParseTable(HashableRecord):
+    __slots__ = (
+        "grammar", "productions", "states", "goto", "shift_states", "goto_sources",
+        "reduce_mid", "reduce_end",
+    )
+
+    def __init__(self, grammar: BehaviorGrammar, productions: tuple[Production, ...],
+                 states: tuple[frozenset[tuple[int, int]], ...], goto: dict[tuple[int, str], int],
+                 shift_states: dict[str, tuple[int, ...]],
+                 goto_sources: dict[str, tuple[tuple[int, int], ...]], reduce_mid: _Reductions,
+                 reduce_end: _Reductions):
+        self.grammar = grammar
+        self.productions = productions  # grammar productions + augmented rule
+        self.states = states
+        self.goto = goto
+        self.shift_states = shift_states
+        self.goto_sources = goto_sources
+        # per state, the search's reductions as (production, index, dot):
+        # every complete item before the end of the word; at its end the
+        # complete non-epsilon items, then the items with the dot mid-body
+        # (their unseen right part is context)
+        self.reduce_mid = reduce_mid
+        self.reduce_end = reduce_end
 
 
 def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
@@ -145,7 +157,6 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
 # parse trees
 
 
-@dataclass(slots=True, eq=False)
 class ParseTree:
     """Node of a (possibly partial) parse.
 
@@ -155,19 +166,28 @@ class ParseTree:
     eq_syms are the symbols on the path down from this node through children
     covering the same terminals; z_syms, for a node covering none, are all
     the symbols of its subtree.  The search drops a reduction whose head is
-    among the ones its children pass up.
+    among the ones its children pass up.  Trees compare by identity.
     """
 
-    symbol: str
-    count: int
-    production: Optional[int] = None
-    children: Optional[tuple["ParseTree", ...]] = None
-    site: Optional[CallSite] = None
-    elided_left: int = 0
-    elided_right: int = 0
-    eq_syms: frozenset[str] = frozenset()
-    z_syms: frozenset[str] = frozenset()
-    _key: Optional[tuple] = field(default=None, init=False)
+    __slots__ = (
+        "symbol", "count", "production", "children", "site", "elided_left", "elided_right",
+        "eq_syms", "z_syms", "_key",
+    )
+
+    def __init__(self, symbol: str, count: int, production: Optional[int] = None,
+                 children: Optional[tuple[ParseTree, ...]] = None, site: Optional[CallSite] = None,
+                 elided_left: int = 0, elided_right: int = 0, eq_syms: frozenset[str] = frozenset(),
+                 z_syms: frozenset[str] = frozenset()):
+        self.symbol = symbol
+        self.count = count
+        self.production = production
+        self.children = children
+        self.site = site
+        self.elided_left = elided_left
+        self.elided_right = elided_right
+        self.eq_syms = eq_syms
+        self.z_syms = z_syms
+        self._key: Optional[tuple] = None
 
     def __repr__(self) -> str:
         # Shallow: a call chain makes trees thousands of levels deep.
@@ -264,10 +284,12 @@ def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None) -> str:
 # subword parsing
 
 
-@dataclass(slots=True)
-class ParseStats:
-    branches: int = 0
-    trees: int = 0
+class ParseStats(Record):
+    __slots__ = ("branches", "trees")
+
+    def __init__(self, branches: int = 0, trees: int = 0):
+        self.branches = branches
+        self.trees = trees
 
 
 def parse_subword_until_lca(

@@ -24,14 +24,13 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import AtomguardError
 from .frontend.cfg import NodeKind, build_cfg
 from .frontend.syntax import Call, ClassDecl, MethodDecl, Program, expr_text
 from .pointsto import AllocationSite, PointsToResult
+from .records import HashableRecord, Record
 
 __all__ = [
     "CallSite",
@@ -52,55 +51,74 @@ EPSILON = "epsilon"
 SCOPE_START_PREFIX = "$start:"
 
 
-@dataclass(frozen=True, slots=True)
-class CallSite:
+class CallSite(HashableRecord):
     """Source information for one terminal occurrence in a production."""
 
-    node: str
-    method: str
-    file: str
-    line: int
-    receiver: Optional[str]
-    args: tuple[str, ...]
-    result: Optional[str]
+    __slots__ = ("node", "method", "file", "line", "receiver", "args", "result")
+
+    def __init__(self, node: str, method: str, file: str, line: int, receiver: Optional[str],
+                 args: tuple[str, ...], result: Optional[str]):
+        self.node = node
+        self.method = method
+        self.file = file
+        self.line = line
+        self.receiver = receiver
+        self.args = args
+        self.result = result
 
 
-@dataclass(frozen=True, slots=True)
-class Production:
-    head: str
-    body: tuple[str, ...]
-    sites: tuple[Optional[CallSite], ...] = ()
+class Production(HashableRecord):
+    """`head -> body`, with the call site of each body symbol (None where
+    the symbol is no call); sites default to all None."""
 
-    def __post_init__(self):
-        if not self.sites:
-            object.__setattr__(self, "sites", (None,) * len(self.body))
-        if len(self.sites) != len(self.body):
+    __slots__ = ("head", "body", "sites")
+
+    def __init__(self, head: str, body: tuple[str, ...],
+                 sites: tuple[Optional[CallSite], ...] = ()):
+        if not sites:
+            sites = (None,) * len(body)
+        elif len(sites) != len(body):
             raise ValueError("sites must align with body")
+        self.head = head
+        self.body = body
+        self.sites = sites
 
 
-@dataclass(frozen=True)
-class BehaviorGrammar:
-    start: str
-    terminals: frozenset[str]
-    productions: tuple[Production, ...]
-    label: str = ""  # e.g. thread or class the grammar describes
+class BehaviorGrammar(HashableRecord):
+    """A grammar; `nonterminals` and `by_head` are computed on first read."""
 
-    @cached_property
+    __slots__ = ("start", "terminals", "productions", "label", "_nonterminals", "_by_head")
+    _fields = __slots__[:4]
+
+    def __init__(self, start: str, terminals: frozenset[str], productions: tuple[Production, ...],
+                 label: str = ""):
+        self.start = start
+        self.terminals = terminals
+        self.productions = productions
+        self.label = label  # e.g. thread or class the grammar describes
+        self._nonterminals: Optional[frozenset[str]] = None
+        self._by_head: Optional[dict[str, tuple[Production, ...]]] = None
+
+    @property
     def nonterminals(self) -> frozenset[str]:
-        syms = {p.head for p in self.productions}
-        for p in self.productions:
-            for s in p.body:
-                if s not in self.terminals:
-                    syms.add(s)
-        syms.add(self.start)
-        return frozenset(syms)
+        if self._nonterminals is None:
+            syms = {p.head for p in self.productions}
+            for p in self.productions:
+                for s in p.body:
+                    if s not in self.terminals:
+                        syms.add(s)
+            syms.add(self.start)
+            self._nonterminals = frozenset(syms)
+        return self._nonterminals
 
-    @cached_property
+    @property
     def by_head(self) -> dict[str, tuple[Production, ...]]:
-        out: dict[str, list[Production]] = {}
-        for p in self.productions:
-            out.setdefault(p.head, []).append(p)
-        return {h: tuple(ps) for h, ps in out.items()}
+        if self._by_head is None:
+            out: dict[str, list[Production]] = {}
+            for p in self.productions:
+                out.setdefault(p.head, []).append(p)
+            self._by_head = {h: tuple(ps) for h, ps in out.items()}
+        return self._by_head
 
 
 def symbol_method(symbol: str) -> Optional[str]:
@@ -146,17 +164,20 @@ def _reachable_methods(
     return seen
 
 
-@dataclass(slots=True)
-class _LoweredNode:
+class _LoweredNode(Record):
     """One CFG node as grammars select it: the node's call (None at entry,
     return and plain statements), its call productions (`n -> h succ` sharing
     one `CallSite`, or `n -> @g succ`) and its skip productions (`n -> succ`,
     or `n -> epsilon` at a return).  A call node builds its skips the first
     time a grammar selects them: most calls are only ever taken."""
 
-    call: Optional[Call]
-    calls: tuple[Production, ...]
-    _skips: Optional[tuple[Production, ...]]
+    __slots__ = ("call", "calls", "_skips")
+
+    def __init__(self, call: Optional[Call], calls: tuple[Production, ...],
+                 _skips: Optional[tuple[Production, ...]]):
+        self.call = call
+        self.calls = calls
+        self._skips = _skips
 
     def skips(self) -> tuple[Production, ...]:
         if self._skips is None:  # a call node: each call production minus its call

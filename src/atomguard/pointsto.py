@@ -7,7 +7,7 @@ everything else is opaque.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .frontend.parser import iter_method_statements
 from .frontend.syntax import (
@@ -22,6 +22,7 @@ from .frontend.syntax import (
     Ternary,
     statement_call,
 )
+from .records import HashableRecord, Record
 
 __all__ = [
     "AllocationSite",
@@ -33,26 +34,31 @@ __all__ = [
 RETURN_SLOT = "@return"
 
 
-@dataclass(frozen=True, slots=True)
-class AllocationSite:
+class AllocationSite(HashableRecord):
     """One `new ModuleClass()` expression in client code."""
 
-    index: int
-    class_name: str
-    method: str  # client method containing the allocation
-    file: str
-    line: int
+    __slots__ = ("index", "class_name", "method", "file", "line")
+
+    def __init__(self, index: int, class_name: str, method: str, file: str, line: int):
+        self.index = index
+        self.class_name = class_name
+        self.method = method  # client method containing the allocation
+        self.file = file
+        self.line = line
 
     @property
     def label(self) -> str:
         return f"{self.class_name}@{self.file}:{self.line}"
 
 
-@dataclass(slots=True)
-class PointsToResult:
-    sites: list[AllocationSite]
-    may: dict[str, frozenset[int]]
-    _locals: dict[str, frozenset[str]] = field(default_factory=dict)
+class PointsToResult(Record):
+    __slots__ = ("sites", "may", "_locals")
+
+    def __init__(self, sites: list[AllocationSite], may: dict[str, frozenset[int]],
+                 _locals: Optional[dict[str, frozenset[str]]] = None):
+        self.sites = sites
+        self.may = may
+        self._locals = {} if _locals is None else _locals
 
     def var_key(self, method: str, name: str) -> str:
         if name in self._locals.get(method, frozenset()):

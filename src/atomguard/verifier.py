@@ -11,7 +11,6 @@ into violations.  `verify_with_stats` composes them; the CLI dumps read them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .contracts import CallSequence, Clause, Contract, expand_clause, parse_contract
@@ -41,6 +40,7 @@ from .grammar import (
     symbol_method,
 )
 from .pointsto import AllocationSite, PointsToResult, compute_pointsto, module_alloc_sites
+from .records import HashableRecord, Record
 
 __all__ = [
     "Violation",
@@ -58,16 +58,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    clause: str
-    word: tuple[str, ...]
-    thread: str
-    site: Optional[str]
-    calls: tuple[CallSite, ...]
-    lca_symbol: str
-    lca_method: str
-    suggestion: str
+class Violation(HashableRecord):
+    __slots__ = (
+        "clause", "word", "thread", "site", "calls", "lca_symbol", "lca_method", "suggestion"
+    )
+
+    def __init__(self, clause: str, word: tuple[str, ...], thread: str, site: Optional[str],
+                 calls: tuple[CallSite, ...], lca_symbol: str, lca_method: str, suggestion: str):
+        self.clause = clause
+        self.word = word
+        self.thread = thread
+        self.site = site
+        self.calls = calls
+        self.lca_symbol = lca_symbol
+        self.lca_method = lca_method
+        self.suggestion = suggestion
 
     @property
     def identity(self) -> tuple:
@@ -75,11 +80,13 @@ class Violation:
         return (self.thread, self.word, self.lca_method, locations)
 
 
-@dataclass(slots=True)
-class RunStats:
-    grammars: int = 0
-    trees: int = 0
-    branches: int = 0
+class RunStats(Record):
+    __slots__ = ("grammars", "trees", "branches")
+
+    def __init__(self, grammars: int = 0, trees: int = 0, branches: int = 0):
+        self.grammars = grammars
+        self.trees = trees
+        self.branches = branches
 
 
 def check_unification(sequence: CallSequence, tree: ParseTree) -> bool:
@@ -118,14 +125,17 @@ def check_unification(sequence: CallSequence, tree: ParseTree) -> bool:
     return True
 
 
-@dataclass(slots=True)
-class _Unit:
+class _Unit(Record):
     """One Alg.-style iteration scope: a thread entry or a client class."""
 
-    label: str
-    roots: list[str]
-    scope: Optional[frozenset[str]]
-    class_decl: Optional[ClassDecl]
+    __slots__ = ("label", "roots", "scope", "class_decl")
+
+    def __init__(self, label: str, roots: list[str], scope: Optional[frozenset[str]],
+                 class_decl: Optional[ClassDecl]):
+        self.label = label
+        self.roots = roots
+        self.scope = scope
+        self.class_decl = class_decl
 
 
 def _units(program: Program, class_scope: bool) -> list[_Unit]:
@@ -166,30 +176,38 @@ def _grammar(
     return build_behavior_grammar_pointsto(program, unit.roots[0], module, site, pointsto)
 
 
-@dataclass(frozen=True, slots=True)
-class Task:
+class Task(HashableRecord):
     """One grammar to search and the contract words to search it for."""
 
-    module: str
-    unit: str  # thread entry, or `class:NAME` under class scope
-    site: Optional[str]  # allocation site label; None without refinement
-    grammar: BehaviorGrammar
-    words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...]
-    # Set when `grammar` is the unit's base grammar, which its sites share:
-    # the call nodes whose terminals the site's grammar lacks (see
-    # `restrict_grammar`).  None when `grammar` is the task's own.
-    drop: Optional[frozenset[str]] = None
+    __slots__ = ("module", "unit", "site", "grammar", "words", "drop")
+
+    def __init__(self, module: str, unit: str, site: Optional[str], grammar: BehaviorGrammar,
+                 words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...],
+                 drop: Optional[frozenset[str]] = None):
+        self.module = module
+        self.unit = unit  # thread entry, or `class:NAME` under class scope
+        self.site = site  # allocation site label; None without refinement
+        self.grammar = grammar
+        self.words = words
+        # Set when `grammar` is the unit's base grammar, which its sites
+        # share: the call nodes whose terminals the site's grammar lacks (see
+        # `restrict_grammar`).  None when `grammar` is the task's own.
+        self.drop = drop
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(HashableRecord):
     """A searched task (grammar simplified), its parse table, and each word's
     trees as the search found them, before unification and the atomicity filter."""
 
-    task: Task
-    table: ParseTable
-    trees: tuple[tuple[Clause, CallSequence, list[ParseTree]], ...]
-    stats: ParseStats
+    __slots__ = ("task", "table", "trees", "stats")
+
+    def __init__(self, task: Task, table: ParseTable,
+                 trees: tuple[tuple[Clause, CallSequence, list[ParseTree]], ...],
+                 stats: ParseStats):
+        self.task = task
+        self.table = table
+        self.trees = trees
+        self.stats = stats
 
 
 def grammar_stage(
@@ -267,11 +285,12 @@ def simplify_stage(tasks: Iterable[Task]) -> Iterator[Task]:
     base = simplified = None
     for task in tasks:
         if task.drop is None:
-            yield replace(task, grammar=simplify_grammar(task.grammar))
-            continue
-        if task.grammar is not base:
-            base, simplified = task.grammar, simplify_grammar(task.grammar)
-        yield replace(task, grammar=restrict_grammar(simplified, task.drop), drop=None)
+            grammar = simplify_grammar(task.grammar)
+        else:
+            if task.grammar is not base:
+                base, simplified = task.grammar, simplify_grammar(task.grammar)
+            grammar = restrict_grammar(simplified, task.drop)
+        yield Task(task.module, task.unit, task.site, grammar, task.words)
 
 
 def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
@@ -323,8 +342,9 @@ def classify_stage(
     deduped: list[Violation] = []
     seen: set[tuple] = set()
     for v in found:
-        if v.identity not in seen:
-            seen.add(v.identity)
+        identity = v.identity
+        if identity not in seen:
+            seen.add(identity)
             deduped.append(v)
     deduped.sort(key=lambda v: (v.thread, v.clause, v.word, [c.line for c in v.calls]))
     return deduped, stats

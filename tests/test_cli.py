@@ -78,6 +78,14 @@ def test_expansion_cap_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("atomguard:")
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_a_word_length_bound_below_one_is_a_usage_error(capsys, bound):
+    assert run(["check", "--max-clause-len", bound, DIRTY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: atomguard check")
+    assert f"argument --max-clause-len: must be at least 1, not {bound}" in err
+
+
 def test_class_scope_flag(capsys):
     assert run(["check", "--class-scope", DIRTY]) == 1
     assert "class:Client" in capsys.readouterr().out

@@ -1,12 +1,16 @@
 """Every name a package module imports is read in that module, every name
-it exports is bound there, and the README's API snippets run."""
+it exports is bound there, the command line starts without the reflection
+modules, and the README's API snippets run."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -104,3 +108,17 @@ def test_readme_api_snippets_run():
     exec(second, namespace)
     assert namespace["violations"] == reported
     assert namespace["stats"].grammars == len(namespace["checks"]) == len(namespace["tasks"])
+
+
+def test_the_command_line_imports_no_reflection_modules():
+    """`dataclasses` alone would bring `inspect`, `ast` and `dis` with it,
+    about half of a check's start-up; a count, so it cannot flake."""
+    code = (
+        "import atomguard.cli, sys; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []
