@@ -23,7 +23,7 @@ from atomguard.frontend.lexer import KEYWORDS, PUNCT
 from atomguard.frontend.syntax import Block, If, Return, While
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
-from oracles import oracle_atomically_executed, reference_tokenize
+from oracles import oracle_atomically_executed, reference_parse_program, reference_tokenize
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -175,6 +175,89 @@ def test_lexical_rules():
     # a digit run lexes; `int()` rejects the superscript and the parser says so
     with pytest.raises(SourceSyntaxError, match="invalid integer literal"):
         parse_program(client("  thread void f() { x = 1²; }"), "t.mg")
+
+
+# ---------------------------------------------------------------------------
+# parsing and resolving against the original parser (a statement walk)
+
+
+def parse_outcome(parse, source: str):
+    """The program, or the error's type, message and position."""
+    try:
+        return parse(source, "t.mg")
+    except (SourceSyntaxError, DuplicateMethodError, UnresolvedMethodError) as e:
+        return (type(e), str(e), getattr(e, "line", None), getattr(e, "column", None))
+
+
+def assert_parses_like_reference(source: str) -> None:
+    assert parse_outcome(parse_program, source) == parse_outcome(reference_parse_program, source)
+
+
+def test_parse_matches_reference_on_bundled_and_generated_programs():
+    sources = [path.read_text() for path in sorted(PROGRAMS.glob("*.mg"))]
+    sources += [path.read_text() for path in sorted(CORPUS.glob("*.mg"))]
+    sources += [random_program(random.Random(seed))[0] for seed in range(300)]
+    for source in sources:
+        program = parse_program(source, "t.mg")
+        assert program == reference_parse_program(source, "t.mg")
+        assert list(program.calls) == list(reference_parse_program(source, "t.mg").calls)
+
+
+# Tokens and statements around a module `M` (methods a, b), a client method
+# `g(M p)` and names that resolve to nothing (`Z`, `h`); a soup is mostly
+# whole statements (or, at class level, whole methods) with a few stray
+# tokens among them.
+SOUP = sorted(KEYWORDS) + [
+    "m", "p", "a", "b", "g", "h", "M", "Z", "1", '"s"', "{", "}", "(", ")", ";", ",", ".",
+    "=", "++", "?", ":", "&&", "+", "-", "*", "<", "==", "!",
+]
+STATEMENTS = [
+    "m = new M();", "m.a();", "m.b();", "g(m);", "g();", "g(m, m);", "h();", "a();", "m.h();",
+    "x = new Z();", "x = g(new Z());", "if (m.b()) {", "while (cond) {", "}", "var y = 1 + 2;",
+    "return;", "x = cond ? new M() : m;",
+]
+METHODS = [
+    "void g(M p) { }", "thread void f() { m.a(); }", "void h() { }", "atomic void a() { }",
+    "}\nclass C {", "}\nclass D {", "}\nclass M {", "void t() { x = new Z(); }",
+]
+
+
+def soups(pieces):
+    return st.tuples(
+        st.lists(st.sampled_from(pieces), max_size=12),
+        st.lists(st.tuples(st.integers(0, 12), st.sampled_from(SOUP)), max_size=2),
+    ).map(lambda drawn: " ".join(_stir(*drawn)))
+
+
+def _stir(pieces, tokens):
+    for at, token in tokens:
+        pieces.insert(at, token)
+    return pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(soups(STATEMENTS), soups(METHODS))
+def test_parse_matches_reference_on_token_soups(statements, methods):
+    assert_parses_like_reference(client(f"  thread void f() {{ {statements} }}\n  void g(M p) {{ }}"))
+    assert_parses_like_reference(client(f"  void g(M p) {{ }}\n  {methods}"))
+
+
+def test_parse_matches_reference_on_one_token_mutations():
+    # every token deleted, and a token drawn from SOUP inserted before it
+    # and put in its place
+    rng = random.Random(13)
+    for path in sorted(CORPUS.glob("*.mg")):
+        source = path.read_text()
+        starts = [0]
+        for line in source.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        for tok in tokenize(source)[:-1]:
+            start = starts[tok.line - 1] + tok.column - 1
+            end = start + len(tok.text) + 2 * (tok.kind == "string")
+            before, after = source[:start], source[end:]
+            assert_parses_like_reference(before + after)
+            assert_parses_like_reference(f"{before} {rng.choice(SOUP)} {source[start:]}")
+            assert_parses_like_reference(f"{before} {rng.choice(SOUP)} {after}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from atomguard import (
     ParseStats,
+    ParseTable,
     build_behavior_grammar,
     build_parse_table,
     dump_tree,
@@ -28,10 +31,15 @@ from oracles import (
     assert_tree_pruned,
     bounded_language,
     parse_dump,
+    reference_build_parse_table,
     reference_parse,
     tree_word,
     tree_word_count,
 )
+from test_grammar import small_grammars
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
 
 
 def table_for(name: str, entry: str):
@@ -404,3 +412,65 @@ def test_repr_of_a_deep_tree_is_shallow():
         f"ParseTree('@run', count=2, production={tree.production}, elided=0/0, 2 children)"
     )
     assert repr(node) == "ParseTree('a', count=1, production=None, elided=0/0, leaf)"
+
+
+# ---------------------------------------------------------------------------
+# the table against the original construction (closures item by item)
+
+CLI_FLAGS = {"--class-scope": {"class_scope": True}, "--no-points-to": {"points_to": False}}
+
+
+def assert_table_like_reference(grammar) -> None:
+    """Every field equal, the dictionaries in the same order too."""
+    got, want = build_parse_table(grammar), reference_build_parse_table(grammar)
+    for field in ParseTable._fields:
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine == theirs, field
+        if isinstance(mine, dict):
+            assert list(mine.items()) == list(theirs.items()), field
+
+
+def assert_tables_like_reference(program, **options) -> int:
+    """The tables of every grammar a check of the program searches."""
+    tasks = list(simplify_stage(grammar_stage(program, **options)))
+    for task in tasks:
+        assert_table_like_reference(task.grammar)
+    return len(tasks)
+
+
+@pytest.mark.parametrize("flags", sorted(FLAGS))
+def test_tables_match_reference_on_bundled_programs(flags):
+    built = 0
+    for path in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg")):
+        built += assert_tables_like_reference(parse_program(path.read_text(), path.name), **FLAGS[flags])
+    assert built > 30, built
+
+
+@pytest.mark.parametrize("flags", sorted(FLAGS))
+def test_tables_match_reference_on_random_programs(flags):
+    for seed in range(200):
+        text, _ = random_program(random.Random(seed))
+        assert_tables_like_reference(parse_program(text, f"seed{seed}.mg"), **FLAGS[flags])
+
+
+def test_tables_match_reference_on_bench_families():
+    rng = random.Random(7)
+    cases = [families.diamonds(rng, k) for k in (1, 3, 5)]
+    cases += [families.loops(rng, k) for k in (1, 3)]
+    cases += [families.helper(rng, k) for k in (1, 3)]
+    cases += [families.random_draw(rng, i) for i in range(3)]
+    for flags in ((), ("--no-points-to",), ("--class-scope",)):
+        cases += [families.straight(rng, n, flags) for n in (1, 10)]
+        cases += [families.chain(rng, d, flags) for d in (1, 5)]
+        cases += [families.sites(rng, s, flags) for s in (1, 3)]
+    for case in cases:
+        options = {}
+        for flag in case.flags:
+            options.update(CLI_FLAGS[flag])
+        assert assert_tables_like_reference(parse_program(case.text, f"{case.name}.mg"), **options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars())
+def test_tables_match_reference_on_random_grammars(grammar):
+    assert_table_like_reference(grammar)
