@@ -12,6 +12,7 @@ failed), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from functools import cache
@@ -61,12 +62,15 @@ def _want_color() -> bool:
 
 
 def _read_source(path: Path) -> str:
+    data = path.read_bytes()
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return path.read_text(encoding="utf-8")
+        text = data[skip:].decode("utf-8")
     except UnicodeDecodeError as e:
         raise AtomguardError(
-            f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {e.start})"
+            f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {skip + e.start})"
         ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as in text mode
 
 
 def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Violation], RunStats]:

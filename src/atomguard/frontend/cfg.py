@@ -79,7 +79,7 @@ class _Builder:
         self.nodes: list[CfgNode] = []
 
     def new_node(self, kind: NodeKind, line: int, stmt: Stmt | None = None) -> CfgNode:
-        node = CfgNode(index=len(self.nodes), kind=kind, line=line, stmt=stmt)
+        node = CfgNode(len(self.nodes), kind, line, [], None, None, stmt)
         self.nodes.append(node)
         return node
 
@@ -90,10 +90,9 @@ class _Builder:
         if call is None:
             return self.new_node(NodeKind.OTHER, stmt.line, stmt)
         kind = NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
-        node = self.new_node(kind, stmt.line, stmt)
-        node.call = call
-        if isinstance(stmt, Assign):
-            node.result_var = stmt.target
+        result_var = stmt.target if stmt.__class__ is Assign else None
+        node = CfgNode(len(self.nodes), kind, stmt.line, [], call, result_var, stmt)
+        self.nodes.append(node)
         return node
 
     def lower_stmt(self, stmt: Stmt) -> tuple[Optional[int], list[int]]:

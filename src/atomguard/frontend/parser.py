@@ -21,7 +21,7 @@ input is a syntax error, not a recursion overflow.
 from __future__ import annotations
 
 from ..errors import DuplicateMethodError, SourceSyntaxError, UnresolvedMethodError
-from .lexer import Token, tokenize
+from .lexer import _Lexeme, _scan
 from .syntax import (
     Assign,
     Binary,
@@ -47,37 +47,44 @@ from .syntax import (
     statement_call,
 )
 
-__all__ = ["parse_program"]
+__all__ = ["iter_method_statements", "parse_program", "statement_call"]
 
 MAX_NESTING = 100
 
 _COMPARISONS = frozenset({"==", "!=", "<=", ">=", "<", ">"})
 
+# A client `new` as parsed: (class name, statement line, its method's calls,
+# how many of them precede the statement's own call)
+_New = tuple[str, int, list[Call], int]
+
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+    def __init__(self, tokens: list[_Lexeme], filename: str):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
         self.depth = 0  # open blocks, statement bodies, expressions, operators
+        # Recorded as parsed, for `_resolve`: client methods' calls in statement
+        # order (a module method's `method_calls` are dropped), client `new`s
+        self.calls: dict[str, list[Call]] = {}
+        self.news: list[_New] = []
+        self.method_calls: list[Call] = []
+        self.client = False  # parsing a client class
+        self.line = 0  # of the statement being parsed
 
     # -- token helpers ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def error(self, message: str, tok: Token | None = None) -> SourceSyntaxError:
-        tok = tok or self.cur
-        return SourceSyntaxError(message, self.filename, tok.line, tok.column)
+    def error(self, message: str, tok: _Lexeme | None = None) -> SourceSyntaxError:
+        tok = tok or self.tokens[self.pos]
+        return SourceSyntaxError(message, self.filename, tok[2], tok[3])
 
     def at(self, kind: str, text: str | None = None) -> bool:
         t = self.tokens[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
+    def accept(self, kind: str, text: str | None = None) -> _Lexeme | None:
         t = self.tokens[self.pos]
-        if t.kind == kind and (text is None or t.text == text):
+        if t[0] == kind and (text is None or t[1] == text):
             self.pos += 1
             return t
         return None
@@ -89,13 +96,13 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> _Lexeme:
         t = self.tokens[self.pos]
-        if t.kind == kind and (text is None or t.text == text):
+        if t[0] == kind and (text is None or t[1] == text):
             self.pos += 1
             return t
         want = text if text is not None else kind
-        raise self.error(f"expected {want!r}, found {t.text!r}")
+        raise self.error(f"expected {want!r}, found {t[1]!r}")
 
     # -- declarations ------------------------------------------------------
 
@@ -103,19 +110,20 @@ class _Parser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes=classes, source_name=source_name)
+        return Program(classes, source_name, calls=self.calls)
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         contract_text = None
         if self.accept("kw", "contract"):
             contract_text = self.contract_body()
+        self.client = contract_text is None  # a module's bodies go unchecked
         self.expect("punct", "{")
         methods: list[MethodDecl] = []
         while not self.accept("punct", "}"):
             methods.append(self.method_decl(name))
-        return ClassDecl(name=name, methods=methods, contract_text=contract_text, line=kw.line)
+        return ClassDecl(name, methods, contract_text, kw[2])
 
     def contract_body(self) -> str:
         # Clause strings are kept verbatim; the contract parser reads them.
@@ -123,14 +131,14 @@ class _Parser:
         clauses: list[str] = []
         while not self.accept("punct", "}"):
             s = self.expect("string")
-            clauses.append(f'"{s.text}"')
+            clauses.append(f'"{s[1]}"')
             if not self.accept("punct", ";") and not self.at("punct", "}"):
                 raise self.error("expected ';' or '}' after clause")
         return "; ".join(clauses)
 
     def method_decl(self, class_name: str) -> MethodDecl:
         is_atomic = is_thread = False
-        first = self.cur
+        first = self.tokens[self.pos]
         while True:
             if self.accept("kw", "atomic"):
                 is_atomic = True
@@ -138,30 +146,26 @@ class _Parser:
                 is_thread = True
             else:
                 break
-        return_type = self.expect("ident").text
-        name = self.expect("ident").text
+        return_type = self.expect("ident")[1]
+        name = self.expect("ident")[1]
+        self.method_calls = []
+        if self.client:
+            self.calls[name] = self.method_calls
         self.expect("punct", "(")
         params: list[Param] = []
         if not self.at("punct", ")"):
             while True:
-                a = self.expect("ident").text
+                a = self.expect("ident")[1]
                 if self.at("ident"):
-                    params.append(Param(name=self.expect("ident").text, type_name=a))
+                    params.append(Param(self.expect("ident")[1], a))
                 else:
-                    params.append(Param(name=a))
+                    params.append(Param(a))
                 if not self.accept("punct", ","):
                     break
         self.expect("punct", ")")
         body = self.block()
         return MethodDecl(
-            name=name,
-            params=tuple(params),
-            return_type=return_type,
-            body=body,
-            is_atomic=is_atomic,
-            is_thread=is_thread,
-            class_name=class_name,
-            line=first.line,
+            name, tuple(params), return_type, body, is_atomic, is_thread, class_name, first[2]
         )
 
     # -- statements --------------------------------------------------------
@@ -177,20 +181,22 @@ class _Parser:
 
     def statement(self) -> Stmt:
         t = self.tokens[self.pos]
-        if t.kind == "ident":  # most statements: a call, assignment or increment
+        self.line = line = t[2]
+        if t[0] == "ident":  # most statements: a call, assignment or increment
             self.pos += 1
-            name = t.text
+            name = t[1]
             if self.accept("punct", "="):
                 value = self.expression(call_ok=True)
                 self.expect("punct", ";")
-                return Assign(target=name, value=value, declares=False, line=t.line)
+                return Assign(name, value, False, line)
             if self.accept("punct", "++"):
                 self.expect("punct", ";")
-                return Increment(target=name, line=t.line)
+                return Increment(name, line)
             call = self.call_suffix(name, t)
             self.expect("punct", ";")
-            return ExprStmt(call=call, line=t.line)
-        if t.kind == "punct" and t.text == "{":
+            self.method_calls.append(call)
+            return ExprStmt(call, line)
+        if t[0] == "punct" and t[1] == "{":
             return self.block()
         if self.accept("kw", "if"):
             self.expect("punct", "(")
@@ -200,7 +206,7 @@ class _Parser:
             then = self.statement()
             orelse = self.statement() if self.accept("kw", "else") else None
             self.depth -= 1
-            return If(cond=cond, then=then, orelse=orelse, line=t.line)
+            return If(cond, then, orelse, line)
         if self.accept("kw", "while"):
             self.expect("punct", "(")
             cond = self.expression(call_ok=True)
@@ -208,30 +214,28 @@ class _Parser:
             self.nest()
             body = self.statement()
             self.depth -= 1
-            return While(cond=cond, body=body, line=t.line)
+            return While(cond, body, line)
         if self.accept("kw", "return"):
             value = None
             if not self.at("punct", ";"):
                 value = self.expression(call_ok=False)
             self.expect("punct", ";")
-            return Return(value=value, line=t.line)
+            return Return(value, line)
         if self.accept("kw", "var"):
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             value: Expr = CondExpr()
             if self.accept("punct", "="):
                 value = self.expression(call_ok=True)
             self.expect("punct", ";")
-            return Assign(target=name, value=value, declares=True, line=t.line)
-        raise self.error(f"unexpected token {t.text!r}")
+            return Assign(name, value, True, line)
+        raise self.error(f"unexpected token {t[1]!r}")
 
-    def call_suffix(self, name: str, t: Token) -> Call:
+    def call_suffix(self, name: str, t: _Lexeme) -> Call:
         if self.accept("punct", "."):
-            method = self.expect("ident").text
-            args = self.call_args()
-            return Call(receiver=name, method=method, args=args, line=t.line, column=t.column)
+            method = self.expect("ident")[1]
+            return Call(name, method, self.call_args(), t[2], t[3])
         if self.at("punct", "("):
-            args = self.call_args()
-            return Call(receiver=None, method=name, args=args, line=t.line, column=t.column)
+            return Call(None, name, self.call_args(), t[2], t[3])
         raise self.error("expected call")
 
     def call_args(self) -> tuple[Expr, ...]:
@@ -253,7 +257,9 @@ class _Parser:
 
     def expression(self, call_ok: bool) -> Expr:
         e = self.ternary()
-        if _contains_call(e) and not (call_ok and isinstance(e, Call)):
+        if call_ok and e.__class__ is Call:  # the statement's call
+            self.method_calls.append(e)
+        elif _contains_call(e):
             raise self.error("calls are only allowed as a statement, assignment source, or condition")
         return e
 
@@ -263,7 +269,7 @@ class _Parser:
         if self.accept("punct", "?"):
             then = self.ternary()
             self.expect("punct", ":")
-            c = Ternary(cond=c, then=then, other=self.ternary())
+            c = Ternary(c, then, self.ternary())
         self.depth -= 1
         return c
 
@@ -276,27 +282,27 @@ class _Parser:
         e = self.comparison()
         depth = self.depth
         while self.at("punct", "&&") or self.at("punct", "||"):
-            op = self.expect("punct").text
+            op = self.expect("punct")[1]
             self.nest()
-            e = Binary(op=op, left=e, right=self.comparison())
+            e = Binary(op, e, self.comparison())
         self.depth = depth
         return e
 
     def comparison(self) -> Expr:
         e = self.additive()
         t = self.tokens[self.pos]
-        if t.kind == "punct" and t.text in _COMPARISONS:
+        if t[0] == "punct" and t[1] in _COMPARISONS:
             self.pos += 1
-            return Binary(op=t.text, left=e, right=self.additive())
+            return Binary(t[1], e, self.additive())
         return e
 
     def additive(self) -> Expr:
         e = self.multiplicative()
         depth = self.depth
         while self.at("punct", "+") or self.at("punct", "-"):
-            op = self.expect("punct").text
+            op = self.expect("punct")[1]
             self.nest()
-            e = Binary(op=op, left=e, right=self.multiplicative())
+            e = Binary(op, e, self.multiplicative())
         self.depth = depth
         return e
 
@@ -306,43 +312,47 @@ class _Parser:
         while self.at("punct", "*"):
             self.expect("punct", "*")
             self.nest()
-            e = Binary(op="*", left=e, right=self.unary())
+            e = Binary("*", e, self.unary())
         self.depth = depth
         return e
 
     def unary(self) -> Expr:
         if self.at("punct", "!") or self.at("punct", "-"):
-            op = self.expect("punct").text
+            op = self.expect("punct")[1]
             self.nest()
             operand = self.unary()
             self.depth -= 1
-            return Unary(op=op, operand=operand)
+            return Unary(op, operand)
         return self.primary()
 
     def primary(self) -> Expr:
-        t = self.cur
-        if self.accept("int"):
+        t = self.tokens[self.pos]
+        kind = t[0]
+        if kind == "ident":
+            self.pos += 1
+            if self.at("punct", "(") or self.at("punct", "."):
+                return self.call_suffix(t[1], t)
+            return Name(t[1])
+        if kind == "int":
+            self.pos += 1
             try:
-                return IntLit(int(t.text))
+                return IntLit(int(t[1]))
             except ValueError:  # a non-ASCII digit, or more digits than int() converts
                 raise self.error("invalid integer literal", t) from None
         if self.accept("kw", "cond"):
             return CondExpr()
         if self.accept("kw", "new"):
-            cls = self.expect("ident").text
+            cls = self.expect("ident")[1]
             self.expect("punct", "(")
             self.expect("punct", ")")
-            return New(class_name=cls)
+            if self.client:
+                self.news.append((cls, self.line, self.method_calls, len(self.method_calls)))
+            return New(cls)
         if self.accept("punct", "("):
             e = self.ternary()
             self.expect("punct", ")")
             return e
-        if self.at("ident"):
-            name = self.expect("ident").text
-            if self.at("punct", "(") or self.at("punct", "."):
-                return self.call_suffix(name, t)
-            return Name(id=name)
-        raise self.error(f"expected expression, found {t.text!r}")
+        raise self.error(f"expected expression, found {t[1]!r}")
 
 
 def _contains_call(e: Expr) -> bool:
@@ -361,25 +371,21 @@ def _contains_call(e: Expr) -> bool:
 # resolution
 
 
-def _iter_statements(stmt: Stmt):
-    yield stmt
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            yield from _iter_statements(s)
-    elif isinstance(stmt, If):
-        yield from _iter_statements(stmt.then)
-        if stmt.orelse is not None:
-            yield from _iter_statements(stmt.orelse)
-    elif isinstance(stmt, While):
-        yield from _iter_statements(stmt.body)
-
-
 def iter_method_statements(method: MethodDecl):
     """All statements of a method body, outermost first."""
-    yield from _iter_statements(method.body)
+    todo: list[Stmt] = [method.body]
+    while todo:
+        stmt = todo.pop()
+        yield stmt
+        if isinstance(stmt, Block):
+            todo += reversed(stmt.stmts)
+        elif isinstance(stmt, If):
+            todo += (stmt.then,) if stmt.orelse is None else (stmt.orelse, stmt.then)
+        elif isinstance(stmt, While):
+            todo.append(stmt.body)
 
 
-def _resolve(program: Program, filename: str) -> None:
+def _resolve(program: Program, filename: str, news: list[_New]) -> None:
     seen_classes: set[str] = set()
     for c in program.classes:
         if c.name in seen_classes:
@@ -405,64 +411,37 @@ def _resolve(program: Program, filename: str) -> None:
         for m in c.methods:
             program.module_methods.setdefault(m.name, []).append(c.name)
 
+    # The first error in statement order: a statement's `new`s come before
+    # its call.  The first `new` of an unknown class stops its method's
+    # calls before its statement's own.
     class_names = {c.name for c in program.classes}
-    for c in program.client_classes:
-        for m in c.methods:
-            calls = program.calls[m.name] = []
-            for stmt in iter_method_statements(m):
-                # The statement's own expressions (not those of nested
-                # statements), pre-order, left to right.
-                if isinstance(stmt, (If, While)):
-                    todo = [stmt.cond]
-                elif isinstance(stmt, (Assign, Return)) and stmt.value is not None:
-                    todo = [stmt.value]
-                elif isinstance(stmt, ExprStmt):
-                    todo = [stmt.call]
-                else:
-                    todo = []
-                while todo:
-                    e = todo.pop()
-                    if isinstance(e, New):
-                        if e.class_name not in class_names:
-                            raise UnresolvedMethodError(
-                                f"unknown class {e.class_name!r} in new "
-                                f"(at {filename}:{_line_of(stmt)})"
-                            )
-                    elif isinstance(e, Binary):
-                        todo += (e.right, e.left)
-                    elif isinstance(e, Call):
-                        todo += reversed(e.args)
-                    elif isinstance(e, Unary):
-                        todo.append(e.operand)
-                    elif isinstance(e, Ternary):
-                        todo += (e.other, e.then, e.cond)
-                call = statement_call(stmt)
-                if call is None:
+    unknown = next((new for new in news if new[0] not in class_names), None)
+    for calls in program.calls.values():
+        checked = calls[: unknown[3]] if unknown is not None and unknown[2] is calls else calls
+        for call in checked:
+            if call.receiver is None:
+                callee = program.client_methods.get(call.method)
+                if callee is not None:
+                    given, wanted = len(call.args), len(callee.params)
+                    if given != wanted:
+                        message = f"{call.method}() takes {wanted} argument(s), got {given}"
+                        raise SourceSyntaxError(message, filename, call.line, call.column)
                     continue
-                calls.append(call)
-                if call.receiver is None:
-                    callee = program.client_methods.get(call.method)
-                    if callee is not None:
-                        given, wanted = len(call.args), len(callee.params)
-                        if given != wanted:
-                            message = f"{call.method}() takes {wanted} argument(s), got {given}"
-                            raise SourceSyntaxError(message, filename, call.line, call.column)
-                        continue
-                    if call.method in program.module_methods:
-                        raise UnresolvedMethodError(
-                            f"{filename}:{call.line}: module method {call.method!r} needs a receiver"
-                        )
+                if call.method in program.module_methods:
                     raise UnresolvedMethodError(
-                        f"{filename}:{call.line}: no client method named {call.method!r}"
+                        f"{filename}:{call.line}: module method {call.method!r} needs a receiver"
                     )
-                if call.method not in program.module_methods:
-                    raise UnresolvedMethodError(
-                        f"{filename}:{call.line}: no module declares method {call.method!r}"
-                    )
-
-
-def _line_of(stmt: Stmt) -> int:
-    return getattr(stmt, "line", 0)
+                raise UnresolvedMethodError(
+                    f"{filename}:{call.line}: no client method named {call.method!r}"
+                )
+            if call.method not in program.module_methods:
+                raise UnresolvedMethodError(
+                    f"{filename}:{call.line}: no module declares method {call.method!r}"
+                )
+        if checked is not calls:
+            raise UnresolvedMethodError(
+                f"unknown class {unknown[0]!r} in new (at {filename}:{unknown[1]})"
+            )
 
 
 def parse_program(text: str, filename: str = "<string>") -> Program:
@@ -472,8 +451,7 @@ def parse_program(text: str, filename: str = "<string>") -> Program:
     colliding declarations, UnresolvedMethodError for calls that match no
     declaration.
     """
-    tokens = tokenize(text, filename)
-    parser = _Parser(tokens, filename)
+    parser = _Parser(_scan(text, filename), filename)
     program = parser.program(source_name=filename)
-    _resolve(program, filename)
+    _resolve(program, filename, parser.news)
     return program

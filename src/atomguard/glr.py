@@ -15,6 +15,7 @@ lowest common ancestor of the word's occurrence.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
@@ -37,6 +38,8 @@ AUGMENTED_HEAD = "$accept"
 # parse table
 
 
+_Item = tuple[int, int]  # (production, dot)
+_by_item = itemgetter(1, 2)  # of a reduction (production, index, dot)
 _Reductions = tuple[tuple[tuple[Production, int, int], ...], ...]
 
 
@@ -47,7 +50,7 @@ class ParseTable(HashableRecord):
     )
 
     def __init__(self, grammar: BehaviorGrammar, productions: tuple[Production, ...],
-                 states: tuple[frozenset[tuple[int, int]], ...], goto: dict[tuple[int, str], int],
+                 states: tuple[frozenset[_Item], ...], goto: dict[tuple[int, str], int],
                  shift_states: dict[str, tuple[int, ...]],
                  goto_sources: dict[str, tuple[tuple[int, int], ...]], reduce_mid: _Reductions,
                  reduce_end: _Reductions):
@@ -66,52 +69,88 @@ class ParseTable(HashableRecord):
 
 
 def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
-    prods = tuple(grammar.productions) + (
-        Production(AUGMENTED_HEAD, (grammar.start,)),
-    )
+    """The LR(0) automaton of the grammar plus the augmented rule, its states
+    numbered in breadth-first order, moves in symbol order.  A state is found
+    by its kernel, the items its goto moved the dot over; its other items are
+    those predicted by the nonterminals after the kernel's dots."""
+    prods = tuple(grammar.productions) + (Production(AUGMENTED_HEAD, (grammar.start,), (None,)),)
     aug = len(prods) - 1
+    bodies = [p.body for p in prods]
+    lengths = [len(body) for body in bodies]
+    terminals = grammar.terminals
     by_head: dict[str, list[int]] = {}
     for i, p in enumerate(prods):
         by_head.setdefault(p.head, []).append(i)
-    terminals = grammar.terminals
 
-    def closure(items: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        out = set(items)
-        work = list(items)
-        while work:
-            pi, dot = work.pop()
-            body = prods[pi].body
-            if dot >= len(body):
-                continue
-            sym = body[dot]
-            if sym in terminals:
-                continue
-            for qi in by_head.get(sym, ()):
-                item = (qi, 0)
-                if item not in out:
-                    out.add(item)
-                    work.append(item)
-        return frozenset(out)
+    predicted = {}  # nonterminal -> (its predicted items, their moves, its epsilon rules)
 
-    start_state = closure(frozenset({(aug, 0)}))
-    states: list[frozenset[tuple[int, int]]] = [start_state]
-    index = {start_state: 0}
+    def predict(sym: str) -> tuple[frozenset[_Item], dict[str, list[_Item]], list[int]]:
+        hit = predicted.get(sym)
+        if hit is None:
+            seen = {sym}
+            todo = [sym]
+            items, moves, empty = [], {}, []
+            while todo:
+                for qi in by_head.get(todo.pop(), ()):
+                    items.append((qi, 0))
+                    if not lengths[qi]:
+                        empty.append(qi)
+                        continue
+                    first = bodies[qi][0]
+                    moves.setdefault(first, []).append((qi, 1))
+                    if first not in terminals and first not in seen:
+                        seen.add(first)
+                        todo.append(first)
+            hit = predicted[sym] = (frozenset(items), moves, empty)
+        return hit
+
+    kernels = [frozenset({(aug, 0)})]
+    index = {kernels[0]: 0}
+    states: list[frozenset[_Item]] = []
     goto: dict[tuple[int, str], int] = {}
-    pos = 0
-    while pos < len(states):
-        state = states[pos]
-        moves: dict[str, set[tuple[int, int]]] = {}
-        for pi, dot in state:
-            body = prods[pi].body
-            if dot < len(body):
-                moves.setdefault(body[dot], set()).add((pi, dot + 1))
+    reduce_mid: list[tuple[tuple[Production, int, int], ...]] = []
+    reduce_end: list[tuple[tuple[Production, int, int], ...]] = []
+    for pos, kernel in enumerate(kernels):  # `kernels` grows as states are found
+        moves: dict[str, list[_Item]] = {}
+        complete: list[int] = []
+        partial: list[tuple[Production, int, int]] = []
+        before: list[str] = []  # the nonterminals after the kernel's dots
+        for pi, dot in kernel:
+            if dot < lengths[pi]:
+                sym = bodies[pi][dot]
+                moves.setdefault(sym, []).append((pi, dot + 1))
+                if dot:
+                    partial.append((prods[pi], pi, dot))
+                if sym not in terminals:
+                    before.append(sym)
+            elif pi != aug:
+                complete.append(pi)
+        state = kernel
+        if before:
+            predictions = []
+            for sym in set(before):
+                items, more, empty = predict(sym)
+                predictions.append(items)
+                for first, targets in more.items():
+                    moves.setdefault(first, []).extend(targets)
+                complete += empty
+            state = kernel.union(*predictions)
+        states.append(state)
         for sym in sorted(moves):
-            target = closure(frozenset(moves[sym]))
-            if target not in index:
-                index[target] = len(states)
-                states.append(target)
-            goto[(pos, sym)] = index[target]
-        pos += 1
+            target = frozenset(moves[sym])
+            t = index.get(target)
+            if t is None:
+                t = index[target] = len(kernels)
+                kernels.append(target)
+            goto[(pos, sym)] = t
+        partial.sort(key=_by_item)
+        if complete:  # see `ParseTable.reduce_mid` and `reduce_end`
+            at_mid = tuple([(prods[pi], pi, lengths[pi]) for pi in sorted(set(complete))])
+            reduce_mid.append(at_mid)
+            reduce_end.append(tuple([r for r in at_mid if r[2]] + partial))
+        else:
+            reduce_mid.append(())
+            reduce_end.append(tuple(partial))
 
     shift_states: dict[str, list[int]] = {}
     goto_sources: dict[str, list[tuple[int, int]]] = {}
@@ -121,35 +160,9 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
         else:
             goto_sources.setdefault(sym, []).append((s, t))
 
-    lengths = [len(p.body) for p in prods]
-    reduce_mid: list[tuple[tuple[Production, int, int], ...]] = []
-    reduce_end: list[tuple[tuple[Production, int, int], ...]] = []
-    for state in states:
-        complete: list[int] = []
-        partial: list[tuple[int, int]] = []
-        for pi, dot in state:
-            if dot == lengths[pi]:
-                if pi != aug:
-                    complete.append(pi)
-            elif dot:
-                partial.append((pi, dot))
-        complete.sort()
-        partial.sort()
-        at_mid = tuple([(prods[pi], pi, lengths[pi]) for pi in complete])
-        reduce_mid.append(at_mid)
-        reduce_end.append(
-            tuple([r for r in at_mid if r[2]] + [(prods[pi], pi, dot) for pi, dot in partial])
-        )
-
     return ParseTable(
-        grammar=grammar,
-        productions=prods,
-        states=tuple(states),
-        goto=goto,
-        shift_states={k: tuple(v) for k, v in shift_states.items()},
-        goto_sources={k: tuple(v) for k, v in goto_sources.items()},
-        reduce_mid=tuple(reduce_mid),
-        reduce_end=tuple(reduce_end),
+        grammar, prods, tuple(states), goto, {k: tuple(v) for k, v in shift_states.items()},
+        {k: tuple(v) for k, v in goto_sources.items()}, tuple(reduce_mid), tuple(reduce_end),
     )
 
 

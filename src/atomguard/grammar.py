@@ -181,7 +181,7 @@ class _LoweredNode(Record):
 
     def skips(self) -> tuple[Production, ...]:
         if self._skips is None:  # a call node: each call production minus its call
-            self._skips = tuple(Production(p.head, p.body[1:]) for p in self.calls)
+            self._skips = tuple([Production(p.head, p.body[1:], (None,)) for p in self.calls])
         return self._skips
 
 
@@ -209,31 +209,29 @@ def _shared_lowering() -> Iterator[None]:
 
 def _lower(program: Program, method: MethodDecl) -> _Lowered:
     name = method.name
+    cfg_nodes = build_cfg(method).nodes
+    syms = [_node_symbol(name, i) for i in range(len(cfg_nodes))]
+    file = program.source_name
     nodes = []
-    for node in build_cfg(method).nodes:
-        sym = _node_symbol(name, node.index)
-        succs = [_node_symbol(name, s) for s in node.succ]
-        call, calls, skips = node.call, (), None
+    for node in cfg_nodes:
+        sym = syms[node.index]
+        call = node.call
         if call is None:
-            skips = tuple(Production(sym, (s,)) for s in succs)
             if node.kind is NodeKind.RETURN:
-                skips = (Production(sym, ()),)
+                skips = (Production(sym, (), ()),)
+            else:
+                skips = tuple([Production(sym, (syms[s],), (None,)) for s in node.succ])
+            nodes.append(_LoweredNode(None, (), skips))
+            continue
+        if call.receiver is None:  # client call
+            first, cs = _method_symbol(call.method), None
         else:
-            first, cs = _method_symbol(call.method), None  # client call
-            if call.receiver is not None:
-                first = call.method
-                cs = CallSite(
-                    node=sym,
-                    method=call.method,
-                    file=program.source_name,
-                    line=call.line,
-                    receiver=call.receiver,
-                    args=tuple(expr_text(a) for a in call.args),
-                    result=node.result_var,
-                )
-            calls = tuple(Production(sym, (first, s), (cs, None)) for s in succs)
-        nodes.append(_LoweredNode(call, calls, skips))
-    return Production(_method_symbol(name), (_node_symbol(name, 0),)), tuple(nodes)
+            first = call.method
+            args = tuple([expr_text(a) for a in call.args])
+            cs = CallSite(sym, first, file, call.line, call.receiver, args, node.result_var)
+        calls = tuple([Production(sym, (first, syms[s]), (cs, None)) for s in node.succ])
+        nodes.append(_LoweredNode(call, calls, None))
+    return Production(_method_symbol(name), (syms[0],), (None,)), tuple(nodes)
 
 
 def _lowered(program: Program, method: MethodDecl) -> _Lowered:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import gc
 import hashlib
 import json
@@ -104,6 +105,22 @@ def test_non_utf8_file_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"atomguard: {bad}: not UTF-8 text (byte 0xff at offset 28)\n"
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    source = tmp_path / "local_counter.bad.mg"
+    plain = (CORPUS / "local_counter.bad.mg").read_bytes()
+    outcomes = []
+    for data in (plain, codecs.BOM_UTF8 + plain):
+        source.write_bytes(data)
+        outcomes.append((run(["check", str(source)]), capsys.readouterr()))
+    assert outcomes[0][0] == 1 and outcomes[1] == outcomes[0]
+    # a bad byte after the mark: its offset in the file, not after the mark
+    source.write_bytes(codecs.BOM_UTF8 + b"ab\xff")
+    assert run(["check", str(source)]) == 2
+    assert capsys.readouterr().err == (
+        f"atomguard: {source}: not UTF-8 text (byte 0xff at offset 5)\n"
+    )
 
 
 def test_deep_statement_nesting_exits_two(tmp_path, capsys):
@@ -454,8 +471,9 @@ def sites_program(sites: int, shared: bool = False) -> str:
 
 
 def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
-    # the resolver and points-to each walk every client method body once; no
-    # layer walks them again per thread or per allocation site
+    # points-to walks every client method body once (the parser records what
+    # the resolver checks); no layer walks them again per thread or per
+    # allocation site
     walks = count_layer_calls(monkeypatch, atomguard.frontend.parser, ["iter_method_statements"])
     per_size = {}
     for sites in (3, 12):
@@ -465,7 +483,7 @@ def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
         assert run(["check", str(prog)]) == 1
         per_size[sites] = walks["iter_method_statements"]
     capsys.readouterr()
-    assert per_size[3] == per_size[12] <= 2 * 2, "at most 2 walks per client method"
+    assert per_size[3] == per_size[12] == 2, "one walk per client method"
 
 
 def test_call_sites_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):

@@ -151,8 +151,12 @@ def test_tokenize_matches_reference_on_bundled_and_generated_programs():
         ("x // " + "c" * 100_000, ["x", ""]),
         ('x = "' + "s" * 100_000, ("unterminated string", 1, 5)),
         ("x" + "\t\r" * 50_000 + "y", ["x", "y", ""]),
+        ("x" + " \t" * 50_000, ["x", ""]),
     ],
-    ids=["blanks-then-bad-character", "long-comment", "unterminated-string", "tabs-and-crs"],
+    ids=[
+        "blanks-then-bad-character", "long-comment", "unterminated-string", "tabs-and-crs",
+        "trailing-blanks",
+    ],
 )
 def test_tokenize_is_linear_on_long_runs(source, outcome):
     # A pattern that backtracks over a run takes seconds or more here.
@@ -198,9 +202,9 @@ def test_parse_matches_reference_on_bundled_and_generated_programs():
     sources += [path.read_text() for path in sorted(CORPUS.glob("*.mg"))]
     sources += [random_program(random.Random(seed))[0] for seed in range(300)]
     for source in sources:
-        program = parse_program(source, "t.mg")
-        assert program == reference_parse_program(source, "t.mg")
-        assert list(program.calls) == list(reference_parse_program(source, "t.mg").calls)
+        program, reference = parse_program(source, "t.mg"), reference_parse_program(source, "t.mg")
+        assert program == reference  # `calls` and `client_methods` too
+        assert list(program.calls) == list(reference.calls)
 
 
 # Tokens and statements around a module `M` (methods a, b), a client method
