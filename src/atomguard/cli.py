@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import AtomguardError
 from .frontend.parser import parse_program
 from .glr import dump_tree
-from .grammar import BehaviorGrammar, dump_grammar, restrict_grammar
+from .grammar import BehaviorGrammar, dump_grammar, site_restrictor
 from .records import Record
 from .verifier import (
     Check,
@@ -86,7 +86,7 @@ def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Viol
     for task, check in zip(tasks, checks):
         raw = task.grammar
         if task.drop is not None:  # the site's own, built only to print it
-            raw = restrict_grammar(raw, task.drop)
+            raw = site_restrictor(raw, task.drop.tracked)(task.drop.own)
         _print_check(raw, check, config.dumps, out)
     return classify_stage(program, checks)
 

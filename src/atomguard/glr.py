@@ -27,6 +27,7 @@ __all__ = [
     "ParseStats",
     "build_parse_table",
     "parse_subword_until_lca",
+    "resite_trees",
     "tree_sites",
     "dump_tree",
 ]
@@ -44,6 +45,13 @@ _Reductions = tuple[tuple[tuple[Production, int, int], ...], ...]
 
 
 class ParseTable(HashableRecord):
+    """The LR(0) automaton of a grammar and the search's reductions per
+    state.  The automaton depends only on the grammar's shape: its start,
+    its terminals and each rule's head and body.  Its productions' call
+    sites are those of the grammar it was built from, so a table can serve
+    any grammar of the same shape whose trees are re-pointed at that
+    grammar's sites (`resite_trees`)."""
+
     __slots__ = (
         "grammar", "productions", "states", "goto", "shift_states", "goto_sources",
         "reduce_mid", "reduce_end",
@@ -254,6 +262,40 @@ def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
         if key is None:
             key = interned[entry] = ("n", node.production, node.elided_left, node.elided_right, child_keys)
         node._key = key
+
+
+def resite_trees(trees: list[ParseTree], productions: tuple[Production, ...]) -> list[ParseTree]:
+    """Copies of the trees with each leaf's call site read from
+    `productions`, a grammar of the same shape as the one searched: a leaf's
+    site is fixed by its parent's production and body position.  Subtrees
+    the trees share are copied once; no walk recurses."""
+    copies: dict[int, ParseTree] = {}
+    out = []
+    for tree in trees:
+        order = []  # uncopied inner nodes, parents before children
+        todo = [tree]
+        while todo:
+            node = todo.pop()
+            if id(node) not in copies:
+                order.append(node)
+                todo += [ch for ch in node.children if ch.children is not None]
+        for node in reversed(order):
+            if id(node) in copies:  # listed twice
+                continue
+            sites = productions[node.production].sites
+            children = []
+            for pos, child in enumerate(node.children, node.elided_left):
+                if child.children is None:
+                    child = ParseTree(child.symbol, 1, None, None, sites[pos])
+                else:
+                    child = copies[id(child)]
+                children.append(child)
+            copies[id(node)] = ParseTree(
+                node.symbol, node.count, node.production, tuple(children), None,
+                node.elided_left, node.elided_right, node.eq_syms, node.z_syms,
+            )
+        out.append(copies[id(tree)])
+    return out
 
 
 def tree_sites(tree: ParseTree) -> list[CallSite]:

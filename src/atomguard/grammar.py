@@ -15,7 +15,7 @@ exactly the set of module call sequences the thread can perform.
 Each method is lowered to its call and skip productions once per check; a
 grammar for one module, unit and allocation site selects among them.  The
 checker builds one base grammar per module and unit and derives most site
-grammars from it by deleting terminals (`site_drops`, `restrict_grammar`);
+grammars from it by deleting terminals (`site_drops`, `site_restrictor`);
 a unit none of whose sites can be derived so builds no base.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import AtomguardError
 from .frontend.cfg import NodeKind, build_cfg
@@ -40,8 +40,9 @@ __all__ = [
     "build_behavior_grammar_pointsto",
     "build_class_scope_grammar",
     "base_site",
+    "SiteDrop",
     "site_drops",
-    "restrict_grammar",
+    "site_restrictor",
     "simplify_grammar",
     "dump_grammar",
     "symbol_method",
@@ -371,17 +372,29 @@ def base_site(pointsto: PointsToResult) -> tuple[AllocationSite, PointsToResult]
     return site, PointsToResult([site], may, pointsto._locals)
 
 
+class SiteDrop(HashableRecord):
+    """What a site's grammar lacks from its unit's base grammar: the
+    terminals of the `tracked` call nodes (those whose receiver some tracked
+    allocation may reach) that are not the site's `own`."""
+
+    __slots__ = ("tracked", "own")
+
+    def __init__(self, tracked: frozenset[str], own: frozenset[str]):
+        self.tracked = tracked  # shared by the unit's sites
+        self.own = own
+
+
 def site_drops(
     program: Program,
     module: ClassDecl,
     methods: list[str],
     sites: list[AllocationSite],
     pointsto: PointsToResult,
-) -> list[Optional[frozenset[str]]]:
-    """For each site, the call nodes whose terminals `restrict_grammar`
-    deletes from the unit's base grammar to give the site's grammar: the
-    module calls whose receiver may point to other sites only.  `methods`
-    are the unit's reachable methods, whose module calls the base takes.
+) -> list[Optional[SiteDrop]]:
+    """For each site, what `site_restrictor` deletes from the unit's base
+    grammar to give the site's grammar: the module calls whose receiver may
+    point to other sites only.  `methods` are the unit's reachable methods,
+    whose module calls the base takes.
 
     The site's own builder grammar takes the same rules as the base at every
     other node, and at these nodes a skip for each call, the call minus its
@@ -392,40 +405,71 @@ def site_drops(
     and needs a grammar of its own.
     """
     module_method_names = {m.name for m in module.methods}
-    mays: dict[str, frozenset[int]] = {}  # per module call node of the unit
+    tracked: list[str] = []
+    own: dict[int, list[str]] = {}  # site index -> the call nodes whose receiver may be it
+    shared: set[int] = set()
     for name in methods:
         for node in _lowered(program, program.client_methods[name])[1]:
             call = node.call
             if node.calls and call.receiver is not None and call.method in module_method_names:
-                mays[node.calls[0].head] = pointsto.may_sites(name, call.receiver)
-    shared = {i for may in mays.values() if len(may) > 1 for i in may}
+                may = pointsto.may_sites(name, call.receiver)
+                if may:
+                    head = node.calls[0].head
+                    tracked.append(head)
+                    for i in may:
+                        own.setdefault(i, []).append(head)
+                    if len(may) > 1:
+                        shared |= may
+    unit_tracked = frozenset(tracked)
     return [
         None if site.index in shared
-        else frozenset(n for n, may in mays.items() if may and site.index not in may)
+        else SiteDrop(unit_tracked, frozenset(own.get(site.index, ())))
         for site in sites
     ]
 
 
-def restrict_grammar(grammar: BehaviorGrammar, drop: frozenset[str]) -> BehaviorGrammar:
-    """`grammar` without the terminal occurrences whose call site's node is in
-    `drop`, then without repeated rules, as `simplify_grammar` drops them (a
-    builder grammar has none, so a restricted base keeps every rule)."""
-    prods = []
-    changed = False
-    for p in grammar.productions:
-        if any(cs is not None and cs.node in drop for cs in p.sites):
-            keep = [i for i, cs in enumerate(p.sites) if cs is None or cs.node not in drop]
-            p = Production(p.head, tuple(p.body[i] for i in keep), tuple(p.sites[i] for i in keep))
-            changed = True
-        prods.append(p)
-    if not changed:
-        return grammar
-    return BehaviorGrammar(
-        start=grammar.start,
-        terminals=grammar.terminals,
-        productions=_drop_repeated(prods),
-        label=grammar.label,
-    )
+def site_restrictor(
+    grammar: BehaviorGrammar, tracked: frozenset[str]
+) -> Callable[[frozenset[str]], BehaviorGrammar]:
+    """A function from a site's own call nodes to `grammar` without the
+    terminal occurrences of the other `tracked` call nodes, then without
+    repeated rules, as `simplify_grammar` drops them (a builder grammar has
+    none, so a restricted base keeps every rule).  Only the rules that hold
+    tracked terminals are rebuilt, from their untracked positions and the
+    site's own, so a site costs the size of its grammar, not of `grammar`."""
+    prods = grammar.productions
+    held: list[tuple[int, list[int]]] = []  # (rule index, its untracked positions)
+    occurs: dict[str, list[tuple[int, int]]] = {}  # tracked node -> (held rule, position)
+    for i, p in enumerate(prods):
+        untracked = []
+        for pos, cs in enumerate(p.sites):
+            if cs is not None and cs.node in tracked:
+                occurs.setdefault(cs.node, []).append((len(held), pos))
+            else:
+                untracked.append(pos)
+        if len(untracked) < len(p.sites):
+            held.append((i, untracked))
+
+    def restrict(own: frozenset[str]) -> BehaviorGrammar:
+        kept: dict[int, list[int]] = {}  # held rule -> the site's own positions
+        for node in own:
+            for h, pos in occurs.get(node, ()):
+                kept.setdefault(h, []).append(pos)
+        out = list(prods)
+        for h, (i, positions) in enumerate(held):
+            if h in kept:
+                positions = sorted(positions + kept[h])
+            p = prods[i]
+            out[i] = Production(p.head, tuple([p.body[k] for k in positions]),
+                                tuple([p.sites[k] for k in positions]))
+        return BehaviorGrammar(
+            start=grammar.start,
+            terminals=grammar.terminals,
+            productions=_drop_repeated(out),
+            label=grammar.label,
+        )
+
+    return restrict
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .glr import (
     ParseTree,
     build_parse_table,
     parse_subword_until_lca,
+    resite_trees,
     tree_sites,
 )
 from .grammar import (
@@ -33,10 +34,11 @@ from .grammar import (
     build_class_scope_grammar,
     _reachable_methods,
     _shared_lowering,
+    SiteDrop,
     base_site,
-    restrict_grammar,
     simplify_grammar,
     site_drops,
+    site_restrictor,
     symbol_method,
 )
 from .pointsto import AllocationSite, PointsToResult, compute_pointsto, module_alloc_sites
@@ -76,8 +78,13 @@ class Violation(HashableRecord):
 
     @property
     def identity(self) -> tuple:
-        locations = tuple((c.file, c.line) for c in self.calls)
-        return (self.thread, self.word, self.lca_method, locations)
+        return _identity(self.thread, self.word, self.lca_method, self.calls)
+
+
+def _identity(thread: str, word: tuple[str, ...], lca_method: str,
+              calls: tuple[CallSite, ...]) -> tuple:
+    """What makes two violations the same report."""
+    return (thread, word, lca_method, tuple([(c.file, c.line) for c in calls]))
 
 
 class RunStats(Record):
@@ -183,15 +190,15 @@ class Task(HashableRecord):
 
     def __init__(self, module: str, unit: str, site: Optional[str], grammar: BehaviorGrammar,
                  words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...],
-                 drop: Optional[frozenset[str]] = None):
+                 drop: Optional[SiteDrop] = None):
         self.module = module
         self.unit = unit  # thread entry, or `class:NAME` under class scope
         self.site = site  # allocation site label; None without refinement
         self.grammar = grammar
         self.words = words
         # Set when `grammar` is the unit's base grammar, which its sites
-        # share: the call nodes whose terminals the site's grammar lacks (see
-        # `restrict_grammar`).  None when `grammar` is the task's own.
+        # share: the call terminals the site's grammar lacks (see
+        # `site_drops`).  None when `grammar` is the task's own.
         self.drop = drop
 
 
@@ -280,23 +287,44 @@ def grammar_stage(
 
 def simplify_stage(tasks: Iterable[Task]) -> Iterator[Task]:
     """Each task with its own grammar simplified; only the caller keeps the
-    raw one.  A base grammar is simplified once, and each of its sites'
-    grammars is the simplified base restricted to the site."""
-    base = simplified = None
+    raw one.  A base grammar is simplified and indexed once, and each of its
+    sites' grammars is the simplified base restricted to the site."""
+    base = restrict = None
     for task in tasks:
-        if task.drop is None:
+        drop = task.drop
+        if drop is None:
             grammar = simplify_grammar(task.grammar)
         else:
             if task.grammar is not base:
-                base, simplified = task.grammar, simplify_grammar(task.grammar)
-            grammar = restrict_grammar(simplified, task.drop)
+                base = task.grammar
+                restrict = site_restrictor(simplify_grammar(base), drop.tracked)
+            grammar = restrict(drop.own)
         yield Task(task.module, task.unit, task.site, grammar, task.words)
 
 
 def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
-    """Build each task's parse table and search it for every word."""
+    """Build each task's parse table and search it for every word.
+
+    The table and every branch of a search depend only on the grammar's
+    shape: its start, terminals, and each rule's head and body.  So a run of
+    consecutive tasks of one module and unit, with the same words and
+    grammars of the same shape, shares the first task's table and searches:
+    each further task gets the trees re-pointed at its own call sites and
+    the counts its own search would have added."""
+    first = first_shape = None  # the check whose table and searches the run shares
     for task in tasks:
-        table = build_parse_table(task.grammar)
+        grammar = task.grammar
+        shape = (task.module, task.unit, task.words, grammar.start, grammar.terminals,
+                 [(p.head, p.body) for p in grammar.productions])
+        if shape == first_shape:
+            trees = tuple(
+                (clause, word, resite_trees(found, grammar.productions))
+                for clause, word, found in first.trees
+            )
+            stats = ParseStats(first.stats.branches, first.stats.trees)
+            yield Check(task, first.table, trees, stats)
+            continue
+        table = build_parse_table(grammar)
         stats = ParseStats()
         # bench/tracing.py wraps this name and reads `stats` as the third positional argument
         trees = tuple(
@@ -304,7 +332,8 @@ def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
             for clause, words in task.words
             for word in words
         )
-        yield Check(task, table, trees, stats)
+        first, first_shape = Check(task, table, trees, stats), shape
+        yield first
 
 
 def classify_stage(
@@ -314,38 +343,40 @@ def classify_stage(
     atomically executed), deduplicated and ordered, and the run's counters."""
     ae = compute_atomically_executed(program)
     stats = RunStats()
-    found: list[Violation] = []
+    deduped: list[Violation] = []
+    seen: set[tuple] = set()
     for check in checks:
         stats.grammars += 1
         stats.trees += check.stats.trees
         stats.branches += check.stats.branches
+        thread = check.task.unit
         for clause, word, trees in check.trees:
+            methods = word.methods
+            parameterized = word.is_parameterized
             for tree in trees:
-                if word.is_parameterized and not check_unification(word, tree):
+                if parameterized and not check_unification(word, tree):
                     continue
                 method = symbol_method(tree.symbol)
                 if method is None or method in ae:
                     continue
-                found.append(
+                calls = tuple(tree_sites(tree))
+                identity = _identity(thread, methods, method, calls)
+                if identity in seen:
+                    continue
+                seen.add(identity)
+                deduped.append(
                     Violation(
                         clause=clause.text,
-                        word=word.methods,
-                        thread=check.task.unit,
+                        word=methods,
+                        thread=thread,
                         site=check.task.site,
-                        calls=tuple(tree_sites(tree)),
+                        calls=calls,
                         lca_symbol=tree.symbol,
                         lca_method=method,
                         suggestion=f"make {method} atomic",
                     )
                 )
 
-    deduped: list[Violation] = []
-    seen: set[tuple] = set()
-    for v in found:
-        identity = v.identity
-        if identity not in seen:
-            seen.add(identity)
-            deduped.append(v)
     deduped.sort(key=lambda v: (v.thread, v.clause, v.word, [c.line for c in v.calls]))
     return deduped, stats
 

@@ -425,7 +425,9 @@ def count_layer_calls(monkeypatch, home=atomguard.verifier, names=LAYERS) -> Cou
 
 def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
     # two threads and two allocation sites: four grammars, one word each,
-    # derived from one simplified base grammar per thread
+    # derived from one simplified base grammar per thread; t1's sites x and
+    # y share the shape `@t1 -> a b`, so one table and one search serve
+    # both, while t2's sites (`@t2 -> a`, `@t2 -> b`) differ
     prog = tmp_path / "sites.mg"
     prog.write_text(
         MODULE_AB
@@ -443,8 +445,8 @@ def test_dumps_come_from_the_checked_run(tmp_path, monkeypatch, capsys):
     assert dict(counts) == plain == {
         "compute_pointsto": 1,
         "simplify_grammar": 2,
-        "build_parse_table": 4,
-        "parse_subword_until_lca": 4,
+        "build_parse_table": 3,
+        "parse_subword_until_lca": 3,
     }
     out = capsys.readouterr().out
     assert out.endswith(report)
@@ -524,6 +526,21 @@ def test_simplifications_do_not_grow_with_sites(tmp_path, monkeypatch, capsys, s
     else:
         # per (module, unit): t1's base, and t2's one site
         assert per_size == {3: (2, 2), 12: (2, 2)}
+
+
+def test_searches_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
+    # t1's own sites all have the grammar `@t1 -> a b` and share one table
+    # and one search; t2 has one site
+    counts = count_layer_calls(monkeypatch)
+    per_size = {}
+    for sites in (3, 12):
+        prog = tmp_path / f"sites{sites}.mg"
+        prog.write_text(sites_program(sites))
+        counts.clear()
+        assert run(["check", str(prog)]) == 1
+        per_size[sites] = (counts["build_parse_table"], counts["parse_subword_until_lca"])
+    capsys.readouterr()
+    assert per_size == {3: (2, 2), 12: (2, 2)}
 
 
 def test_checks_leave_no_cyclic_garbage(capsys):

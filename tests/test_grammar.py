@@ -29,7 +29,7 @@ from atomguard import (
     simplify_stage,
     symbol_method,
 )
-from atomguard.grammar import _reachable_methods, restrict_grammar
+from atomguard.grammar import _reachable_methods, site_restrictor
 from atomguard.pointsto import module_alloc_sites
 from atomguard.verifier import _grammar, _units
 from conftest import CORPUS, PROGRAMS, deadline, load_program
@@ -587,7 +587,7 @@ def assert_sites_restrict_exactly(prog, **options) -> tuple[int, int]:
     for task, simplified, want in zip(tasks, simplify_stage(tasks), wants):
         raw = task.grammar
         if task.drop is not None:
-            raw = restrict_grammar(raw, task.drop)
+            raw = site_restrictor(raw, task.drop.tracked)(task.drop.own)
             restricted += 1
         elif task.site is not None:
             own += 1
