@@ -109,7 +109,7 @@ def _print_check(raw: BehaviorGrammar, check: Check, dumps: set[str], out: list[
             out.append(f"# trees: {where}, word '{' '.join(word.methods)}' ({len(trees)} found)")
             for i, tree in enumerate(trees, 1):
                 out.append(f"tree {i}:")
-                out.append(dump_tree(tree, check.table).rstrip("\n"))
+                out.append(dump_tree(tree, check.task.grammar).rstrip("\n"))
             out.append("")
 
 

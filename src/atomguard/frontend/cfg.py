@@ -58,20 +58,6 @@ class Cfg(Record):
         self.method = method
         self.nodes = nodes
 
-    @property
-    def entry(self) -> CfgNode:
-        return self.nodes[0]
-
-    @property
-    def returns(self) -> list[CfgNode]:
-        return [n for n in self.nodes if n.kind is NodeKind.RETURN]
-
-    def node_for(self, stmt: Stmt) -> Optional[CfgNode]:
-        for n in self.nodes:
-            if n.stmt is stmt:
-                return n
-        return None
-
 
 class _Builder:
     def __init__(self, method: MethodDecl):

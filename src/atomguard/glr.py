@@ -11,6 +11,11 @@ part.  All reduction alternatives are explored with branching linear stacks.
 A branch stops growing a parse upward as soon as one reduction covers every
 terminal of the word: built bottom-up, that first covering node is the
 lowest common ancestor of the word's occurrence.
+
+A tree is a derivation over the grammar's shape and holds no call sites:
+a leaf's site is the one at its body position in its parent's production,
+so the trees of one search serve every grammar of the same shape, and
+`tree_sites` and `dump_tree` read the sites from the grammar they are given.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "ParseStats",
     "build_parse_table",
     "parse_subword_until_lca",
-    "resite_trees",
     "tree_sites",
     "dump_tree",
 ]
@@ -47,10 +51,9 @@ _Reductions = tuple[tuple[tuple[Production, int, int], ...], ...]
 class ParseTable(HashableRecord):
     """The LR(0) automaton of a grammar and the search's reductions per
     state.  The automaton depends only on the grammar's shape: its start,
-    its terminals and each rule's head and body.  Its productions' call
-    sites are those of the grammar it was built from, so a table can serve
-    any grammar of the same shape whose trees are re-pointed at that
-    grammar's sites (`resite_trees`)."""
+    its terminals and each rule's head and body.  The trees searched over it
+    hold no call sites, so a table and its trees serve every grammar of that
+    shape, each reading the sites from its own productions."""
 
     __slots__ = (
         "grammar", "productions", "states", "goto", "shift_states", "goto_sources",
@@ -181,9 +184,13 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
 class ParseTree:
     """Node of a (possibly partial) parse.
 
-    Terminal leaves have children None.  elided_left/right count body symbols
-    hypothesized rather than materialized: they stand for derivations outside
-    the matched word.  count is the number of word terminals in the subtree.
+    Terminal leaves have children None and hold no call site: a leaf's site
+    is the one at its body position in its parent's production (see
+    `tree_sites`).  production indexes the searched grammar's productions.
+    elided_left/right count body symbols hypothesized rather than
+    materialized: they stand for derivations outside the matched word, and
+    elided_left is the body position of the first child.  count is the
+    number of word terminals in the subtree.
     eq_syms are the symbols on the path down from this node through children
     covering the same terminals; z_syms, for a node covering none, are all
     the symbols of its subtree.  The search drops a reduction whose head is
@@ -191,19 +198,18 @@ class ParseTree:
     """
 
     __slots__ = (
-        "symbol", "count", "production", "children", "site", "elided_left", "elided_right",
-        "eq_syms", "z_syms", "_key",
+        "symbol", "count", "production", "children", "elided_left", "elided_right", "eq_syms",
+        "z_syms", "_key",
     )
 
     def __init__(self, symbol: str, count: int, production: Optional[int] = None,
-                 children: Optional[tuple[ParseTree, ...]] = None, site: Optional[CallSite] = None,
-                 elided_left: int = 0, elided_right: int = 0, eq_syms: frozenset[str] = frozenset(),
+                 children: Optional[tuple[ParseTree, ...]] = None, elided_left: int = 0,
+                 elided_right: int = 0, eq_syms: frozenset[str] = frozenset(),
                  z_syms: frozenset[str] = frozenset()):
         self.symbol = symbol
         self.count = count
         self.production = production
         self.children = children
-        self.site = site
         self.elided_left = elided_left
         self.elided_right = elided_right
         self.eq_syms = eq_syms
@@ -221,10 +227,11 @@ class ParseTree:
 
     @property
     def key(self) -> tuple:
-        """Structural identity: `("t", symbol, site node, site line)` for a
-        leaf, `("n", production, elided_left, elided_right, child keys)` for
-        a node.  Built on first read; most trees the search makes are never
-        emitted, so never keyed."""
+        """Structural identity: `("t", symbol)` for a leaf, `("n",
+        production, elided_left, elided_right, child keys)` for a node,
+        whose production and elided_left fix each leaf child's call site.
+        Built on first read; most trees the search makes are never emitted,
+        so never keyed."""
         if self._key is None:
             _fill_keys(self, {})
         return self._key
@@ -252,8 +259,7 @@ def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
             continue
         children = node.children
         if children is None:
-            site = node.site
-            key = ("t", node.symbol, site.node if site else None, site.line if site else None)
+            key = ("t", node.symbol)
             node._key = interned.setdefault(key, key)
             continue
         child_keys = tuple([ch._key for ch in children])
@@ -264,74 +270,50 @@ def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
         node._key = key
 
 
-def resite_trees(trees: list[ParseTree], productions: tuple[Production, ...]) -> list[ParseTree]:
-    """Copies of the trees with each leaf's call site read from
-    `productions`, a grammar of the same shape as the one searched: a leaf's
-    site is fixed by its parent's production and body position.  Subtrees
-    the trees share are copied once; no walk recurses."""
-    copies: dict[int, ParseTree] = {}
-    out = []
-    for tree in trees:
-        order = []  # uncopied inner nodes, parents before children
-        todo = [tree]
-        while todo:
-            node = todo.pop()
-            if id(node) not in copies:
-                order.append(node)
-                todo += [ch for ch in node.children if ch.children is not None]
-        for node in reversed(order):
-            if id(node) in copies:  # listed twice
-                continue
-            sites = productions[node.production].sites
-            children = []
-            for pos, child in enumerate(node.children, node.elided_left):
-                if child.children is None:
-                    child = ParseTree(child.symbol, 1, None, None, sites[pos])
-                else:
-                    child = copies[id(child)]
-                children.append(child)
-            copies[id(node)] = ParseTree(
-                node.symbol, node.count, node.production, tuple(children), None,
-                node.elided_left, node.elided_right, node.eq_syms, node.z_syms,
-            )
-        out.append(copies[id(tree)])
-    return out
+def _sited_children(node: ParseTree, production: Production):
+    """The node's children, last first, each with the call site at its body
+    position in the node's production."""
+    at = node.elided_left
+    sites = production.sites[at:at + len(node.children)]
+    return zip(reversed(node.children), reversed(sites))
 
 
-def tree_sites(tree: ParseTree) -> list[CallSite]:
-    """Call sites of the word terminals, in occurrence order, found without
-    recursing."""
+def tree_sites(tree: ParseTree, grammar: BehaviorGrammar) -> list[CallSite]:
+    """Call sites of the word terminals, in occurrence order, read from
+    `grammar`, the searched grammar or one of its shape, without recursing."""
+    productions = grammar.productions
     out = []
-    todo = [tree]
+    todo = [(tree, None)]
     while todo:
-        node = todo.pop()
+        node, site = todo.pop()
         if node.children is not None:
-            todo.extend(reversed(node.children))
-        elif node.site is not None:
-            out.append(node.site)
+            todo.extend(_sited_children(node, productions[node.production]))
+        elif site is not None:
+            out.append(site)
     return out
 
 
-def dump_tree(tree: ParseTree, table: Optional[ParseTable] = None) -> str:
+def dump_tree(tree: ParseTree, grammar: BehaviorGrammar) -> str:
+    """The tree one node a line, each node with its rule and each leaf with
+    its call site in `grammar`, the searched grammar or one of its shape."""
+    productions = grammar.productions
     out: list[str] = []
-    todo = [(tree, "")]
+    todo = [(tree, "", None)]
     while todo:
-        node, pad = todo.pop()
+        node, pad, site = todo.pop()
         if node.children is None:
-            where = f"  [{node.site.file}:{node.site.line}]" if node.site else ""
+            where = f"  [{site.file}:{site.line}]" if site else ""
             out.append(f"{pad}{node.symbol}{where}\n")
             continue
-        rule = ""
-        if table is not None and node.production is not None:
-            p = table.productions[node.production]
-            rule = f"  ({p.head} -> {' '.join(p.body) or 'epsilon'})"
+        p = productions[node.production]
+        rule = f"  ({p.head} -> {' '.join(p.body) or 'epsilon'})"
         marks = ""
         if node.elided_left or node.elided_right:
             marks = f"  [context {node.elided_left}|{node.elided_right}]"
         out.append(f"{pad}{node.symbol}{rule}{marks}\n")
         if not node.children:
             out.append(f"{pad}  epsilon\n")
-        todo.extend((ch, pad + "  ") for ch in reversed(node.children))
+        todo.extend((ch, pad + "  ", s) for ch, s in _sited_children(node, p))
     return "".join(out)
 
 
@@ -359,8 +341,8 @@ def parse_subword_until_lca(
     the search is explored, last pushed first.
 
     A branch is a tuple (stack, pos, rec_depth, rec_empty).  The stack is a
-    tuple of (state, node) cells; a shifted terminal sits there as its bare
-    symbol until a reduction gives it the call site of its body position.
+    tuple of (state, node) cells; each word position has one leaf, which
+    every branch that shifts it pushes and every reduction takes as it is.
     rec_depth holds (under state, symbol, depth) of every push since the
     last shift, and rec_empty (under state, symbol) of the zero-count ones;
     a branch may repeat neither, so the search ends.
@@ -379,18 +361,18 @@ def parse_subword_until_lca(
     seen_keys: set[tuple] = set()
     interned: dict[tuple, tuple] = {}
 
+    leaves = [ParseTree(sym, 1) for sym in word]
     first = word[0]
-    work = [(((goto[(s, first)], first),), 1, empty, empty) for s in table.shift_states.get(first, ())]
+    work = [(((goto[(s, first)], leaves[0]),), 1, empty, empty) for s in table.shift_states.get(first, ())]
     branches = len(work)
 
     while work:
         stack, pos, rec_depth, rec_empty = work.pop()
         m = len(stack)
         if pos < n:
-            sym = word[pos]
-            target = goto.get((stack[-1][0], sym))
+            target = goto.get((stack[-1][0], word[pos]))
             if target is not None:
-                work.append((stack + ((target, sym),), pos + 1, empty, empty))
+                work.append((stack + ((target, leaves[pos]),), pos + 1, empty, empty))
                 branches += 1
             candidates = reduce_mid[stack[-1][0]]
         else:
@@ -404,16 +386,11 @@ def parse_subword_until_lca(
             else:
                 cut = 0
                 elided_left = dot - m
-            sites = prod.sites
-            body_pos = elided_left
             children = []
             count = 0
             for _, child in stack[cut:]:
-                if child.__class__ is str:
-                    child = ParseTree(child, 1, None, None, sites[body_pos])
                 children.append(child)
                 count += child.count
-                body_pos += 1
 
             # no nonterminal may repeat on a path without covering a new terminal
             head = prod.head
@@ -440,8 +417,8 @@ def parse_subword_until_lca(
                 z_syms = z_syms | {head}
                 eq_syms = empty
             node = ParseTree(
-                head, count, pi, tuple(children), None,
-                elided_left, len(prod.body) - dot, eq_syms, z_syms,
+                head, count, pi, tuple(children), elided_left, len(prod.body) - dot, eq_syms,
+                z_syms,
             )
 
             if count == n:

@@ -11,7 +11,7 @@ into violations.  `verify_with_stats` composes them; the CLI dumps read them.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .contracts import CallSequence, Clause, Contract, expand_clause, parse_contract
 from .errors import AtomguardError
@@ -23,7 +23,6 @@ from .glr import (
     ParseTree,
     build_parse_table,
     parse_subword_until_lca,
-    resite_trees,
     tree_sites,
 )
 from .grammar import (
@@ -96,13 +95,13 @@ class RunStats(Record):
         self.branches = branches
 
 
-def check_unification(sequence: CallSequence, tree: ParseTree) -> bool:
-    """Match clause variables against the occurrence's program terms.
+def check_unification(sequence: CallSequence, sites: Sequence[CallSite]) -> bool:
+    """Match clause variables against the program terms of an occurrence's
+    call sites (see `tree_sites`).
 
     Terms must match exactly (syntactically); `_` matches anything; a parse
     whose terms disagree with the clause bindings is discarded.
     """
-    sites = tree_sites(tree)
     if len(sites) != len(sequence.atoms):
         return False
     bindings: dict[str, str] = {}
@@ -204,7 +203,9 @@ class Task(HashableRecord):
 
 class Check(HashableRecord):
     """A searched task (grammar simplified), its parse table, and each word's
-    trees as the search found them, before unification and the atomicity filter."""
+    trees as the search found them, before unification and the atomicity
+    filter.  The trees' call sites are read from `task.grammar`: the table,
+    and the trees, may be those of an earlier task of the same shape."""
 
     __slots__ = ("task", "table", "trees", "stats")
 
@@ -306,23 +307,20 @@ def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
     """Build each task's parse table and search it for every word.
 
     The table and every branch of a search depend only on the grammar's
-    shape: its start, terminals, and each rule's head and body.  So a run of
-    consecutive tasks of one module and unit, with the same words and
-    grammars of the same shape, shares the first task's table and searches:
-    each further task gets the trees re-pointed at its own call sites and
-    the counts its own search would have added."""
+    shape: its start, terminals, and each rule's head and body; the trees
+    hold no call sites.  So a run of consecutive tasks of one module and
+    unit, with the same words and grammars of the same shape, shares the
+    first task's table and searches: each further task's check holds the
+    first check's trees as they are, and a copy of its counts, the ones its
+    own search would have added."""
     first = first_shape = None  # the check whose table and searches the run shares
     for task in tasks:
         grammar = task.grammar
         shape = (task.module, task.unit, task.words, grammar.start, grammar.terminals,
                  [(p.head, p.body) for p in grammar.productions])
         if shape == first_shape:
-            trees = tuple(
-                (clause, word, resite_trees(found, grammar.productions))
-                for clause, word, found in first.trees
-            )
             stats = ParseStats(first.stats.branches, first.stats.trees)
-            yield Check(task, first.table, trees, stats)
+            yield Check(task, first.table, first.trees, stats)
             continue
         table = build_parse_table(grammar)
         stats = ParseStats()
@@ -339,8 +337,9 @@ def search_stage(tasks: Iterable[Task]) -> Iterator[Check]:
 def classify_stage(
     program: Program, checks: Iterable[Check]
 ) -> tuple[list[Violation], RunStats]:
-    """Violations (trees that unify with their word and whose LCA method is not
-    atomically executed), deduplicated and ordered, and the run's counters."""
+    """Violations (trees whose LCA method is not atomically executed and
+    that unify with their word), deduplicated and ordered, and the run's
+    counters.  Each tree's call sites are read from its check's grammar."""
     ae = compute_atomically_executed(program)
     stats = RunStats()
     deduped: list[Violation] = []
@@ -350,16 +349,17 @@ def classify_stage(
         stats.trees += check.stats.trees
         stats.branches += check.stats.branches
         thread = check.task.unit
+        grammar = check.task.grammar
         for clause, word, trees in check.trees:
             methods = word.methods
             parameterized = word.is_parameterized
             for tree in trees:
-                if parameterized and not check_unification(word, tree):
-                    continue
                 method = symbol_method(tree.symbol)
                 if method is None or method in ae:
                     continue
-                calls = tuple(tree_sites(tree))
+                calls = tuple(tree_sites(tree, grammar))
+                if parameterized and not check_unification(word, calls):
+                    continue
                 identity = _identity(thread, methods, method, calls)
                 if identity in seen:
                     continue

@@ -979,6 +979,47 @@ def _reference_leaf(symbol: str, site: Optional[CallSite] = None) -> ReferenceTr
     )
 
 
+def reference_sites(tree: ReferenceTree) -> list[CallSite]:
+    """The call sites the reference search gave the tree's leaves, in
+    occurrence order, leaving out leaves without one."""
+    out = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node.children is not None:
+            todo.extend(reversed(node.children))
+        elif node.site is not None:
+            out.append(node.site)
+    return out
+
+
+def sited_key(tree: ParseTree, grammar: BehaviorGrammar) -> tuple:
+    """The `ReferenceTree.key` of a search tree: its `key` with each leaf
+    keyed `("t", symbol, site node, site line)` by the call site at the
+    leaf's body position in its parent's production of `grammar`.  Built
+    without recursing, from a walk that visits right children first, so
+    that its reverse meets every node after its children, left to right."""
+    order = []  # (node, its call site)
+    todo = [(tree, None)]
+    while todo:
+        node, site = todo.pop()
+        order.append((node, site))
+        if node.children is not None:
+            at = node.elided_left
+            sites = grammar.productions[node.production].sites[at:at + len(node.children)]
+            todo.extend(zip(node.children, sites))
+    keys: list[tuple] = []  # keys of the nodes met whose parent is not yet met
+    for node, site in reversed(order):
+        if node.children is None:
+            keys.append(("t", node.symbol, site.node if site else None, site.line if site else None))
+            continue
+        first = len(keys) - len(node.children)
+        children = tuple(keys[first:])
+        del keys[first:]
+        keys.append(("n", node.production, node.elided_left, node.elided_right, children))
+    return keys[0]
+
+
 def _reference_make_node(
     head: str,
     production: int,

@@ -302,14 +302,14 @@ def test_cfg_empty_body():
     prog = parse_program(client("  thread void f() { }"), "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
     assert [n.kind for n in cfg.nodes] == [NodeKind.ENTRY, NodeKind.RETURN]
-    assert cfg.entry.succ == [1]
+    assert cfg.nodes[0].succ == [1]
 
 
 def test_cfg_return_statement_has_no_successors():
     src = client("  thread void f() { m.a(); return; m.b(); }")
     prog = parse_program(src, "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    explicit = [n for n in cfg.returns if n.stmt is not None]
+    explicit = [n for n in cfg.nodes if n.kind is NodeKind.RETURN and n.stmt is not None]
     assert len(explicit) == 1
     assert explicit[0].succ == []
 
@@ -377,13 +377,15 @@ def _paths_seq(stmts, bound):
 
 def assert_cfg_covers_paths(method):
     cfg = build_cfg(method)
-    implicit = next((n for n in cfg.returns if n.stmt is None), None)
+    implicit = next(
+        (n for n in cfg.nodes if n.kind is NodeKind.RETURN and n.stmt is None), None
+    )
     paths = _paths_seq(method.body.stmts, _LOOP_BOUND)
     assert paths
     for stmts, fell_through in paths:
-        nodes = [cfg.entry]
+        nodes = [cfg.nodes[0]]
         for s in stmts:
-            node = cfg.node_for(s)
+            node = next((n for n in cfg.nodes if n.stmt is s), None)
             assert node is not None, f"{method.name}: statement without a node"
             nodes.append(node)
         if fell_through:

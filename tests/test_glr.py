@@ -33,6 +33,8 @@ from oracles import (
     parse_dump,
     reference_build_parse_table,
     reference_parse,
+    reference_sites,
+    sited_key,
     tree_word,
     tree_word_count,
 )
@@ -149,7 +151,7 @@ def test_repeated_terminal_nests_in_the_loop():
 
 
 def test_full_parse_lca():
-    table, _ = table_for("nested_calls.mg", "run")
+    table, grammar = table_for("nested_calls.mg", "run")
     word = ("a", "b", "b", "c")
     (full,) = reference_parse(table, word, False, None)
     (lca,) = parse_subword_until_lca(table, word)
@@ -162,7 +164,7 @@ def test_full_parse_lca():
         return [node] + [n for child in node.children for n in covering(child)]
 
     # the deepest covering node of the full parse is the until-LCA root
-    assert covering(full)[-1].key == lca.key
+    assert covering(full)[-1].key == sited_key(lca, grammar)
 
 
 def test_until_lca_roots_are_the_ancestors():
@@ -184,12 +186,12 @@ def test_single_call_word_names_the_enclosing_method():
 
 
 def test_elision_bookkeeping_on_straight_line():
-    table, _ = table_for("straight_line.mg", "run")
+    table, grammar = table_for("straight_line.mg", "run")
     (tree,) = parse_subword_until_lca(table, ("b", "c"))
     assert tree.elided_left == 1, "the leading a() is context, not word"
     assert tree.elided_right == 1, "the trailing d() is context, not word"
     assert tree_word(tree) == ("b", "c")
-    assert [s.method for s in tree_sites(tree)] == ["b", "c"]
+    assert [s.method for s in tree_sites(tree, grammar)] == ["b", "c"]
 
 
 def test_unmatchable_words_return_nothing():
@@ -256,9 +258,9 @@ def test_parse_stats_count_trees_and_branches():
 
 
 def test_parsing_is_deterministic():
-    table, _ = table_for("branching_client.mg", "run")
-    first = [dump_tree(t) for t in parse_subword_until_lca(table, ("a", "b"))]
-    second = [dump_tree(t) for t in parse_subword_until_lca(table, ("a", "b"))]
+    table, grammar = table_for("branching_client.mg", "run")
+    first = [dump_tree(t, grammar) for t in parse_subword_until_lca(table, ("a", "b"))]
+    second = [dump_tree(t, grammar) for t in parse_subword_until_lca(table, ("a", "b"))]
     assert first == second
 
 
@@ -346,20 +348,23 @@ def searches(program, **options):
                 yield table, word.methods
 
 
-def tree_fields(tree):
+def tree_fields(tree, key, sites):
     return (
-        tree.key, tree.symbol, tree.count, tree.production,
-        tree.elided_left, tree.elided_right, tree_sites(tree),
+        key, tree.symbol, tree.count, tree.production, tree.elided_left, tree.elided_right, sites,
     )
 
 
 def assert_search_like_reference(table, word) -> None:
     """Both searches find the same trees in the same order, over the same
-    number of branches."""
+    number of branches; the search's trees, read with the table's grammar,
+    have the reference's keys and call sites."""
     got_stats, want_stats = ParseStats(), ParseStats()
     got = parse_subword_until_lca(table, word, got_stats)
     want = reference_parse(table, word, True, want_stats)
-    assert [tree_fields(t) for t in got] == [tree_fields(t) for t in want], word
+    grammar = table.grammar
+    assert [
+        tree_fields(t, sited_key(t, grammar), tree_sites(t, grammar)) for t in got
+    ] == [tree_fields(t, t.key, reference_sites(t)) for t in want], word
     assert (got_stats.branches, got_stats.trees) == (want_stats.branches, want_stats.trees)
 
 

@@ -178,12 +178,12 @@ def test_parse_tree_compares_by_identity():
     first, second = ParseTree("a", 1), ParseTree("a", 1)
     assert first == first and first != second
     assert len({first, second}) == 2
-    tree = ParseTree("t.1", 1, production=2, children=(first,), site=None,
-                     elided_left=1, elided_right=0,
+    tree = ParseTree("t.1", 1, production=2, children=(first,), elided_left=1, elided_right=0,
                      eq_syms=frozenset({"t.1"}), z_syms=frozenset())
     assert (tree.production, tree.children, tree.elided_left, tree.eq_syms) == (
         2, (first,), 1, frozenset({"t.1"}))
-    assert (first.production, first.children, first.site) == (None, None, None)
+    assert (first.production, first.children) == (None, None)
+    assert not hasattr(first, "site"), "a leaf's call site is its parent production's"
     assert (first.elided_left, first.elided_right) == (0, 0)
     assert first.eq_syms == first.z_syms == frozenset()
     assert repr(tree) == "ParseTree('t.1', count=1, production=2, elided=1/0, 1 children)"

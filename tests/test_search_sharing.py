@@ -2,10 +2,11 @@
 
 `search_stage` builds one LR(0) table and runs one search per word for each
 run of consecutive tasks of a (module, unit) whose simplified grammars
-differ in call sites only, and re-points the trees at each further site's
-own call sites.  Here every site's check is compared with a table built and
-searched on that site's own simplified grammar, and the report and dump
-bytes with digests frozen before the searches were shared.
+differ in call sites only, and each further site's check holds the first
+check's trees, whose call sites are read from the site's own grammar.  Here
+every site's check is compared with the reference search on a table built
+from that site's own simplified grammar, and the report and dump bytes with
+digests frozen before the searches were shared.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import pytest
 
 from atomguard import parse_program
 from atomguard.cli import _render_table, run
-from atomguard.glr import ParseStats, build_parse_table, parse_subword_until_lca, tree_sites
+from atomguard.glr import ParseStats, build_parse_table, tree_sites
 from atomguard.verifier import grammar_stage, search_stage, simplify_stage
 from generators import random_program, two_receivers
+from oracles import reference_parse, reference_sites, sited_key
 
 MODULE_AB = 'class M contract { "a b"; "b a" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -189,23 +191,11 @@ def seeded_programs():
         yield f"receivers{seed}", two_receivers(text, random.Random(f"receivers{seed}"))
 
 
-def leaf_sites(tree):
-    """The call site of every leaf, word terminal or not, in tree order."""
-    out = []
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        if node.children is None:
-            out.append(node.site)
-        else:
-            todo.extend(reversed(node.children))
-    return out
-
-
 def assert_checks_match_own_searches(text: str, flags: list[str]) -> int:
     """Each check's table, trees and counts are those of a table built and
-    searched on the check's own simplified grammar; returns how many checks
-    shared another one's table."""
+    searched by the reference search on the check's own simplified grammar,
+    with the trees' call sites read from that grammar; returns how many
+    checks shared another one's table."""
     prog = parse_program(text, "prog.mg")
     options = {"class_scope": "--class-scope" in flags, "points_to": "--no-points-to" not in flags}
     tasks = list(simplify_stage(grammar_stage(prog, **options)))
@@ -220,10 +210,11 @@ def assert_checks_match_own_searches(text: str, flags: list[str]) -> int:
         words = [(clause, word) for clause, words in task.words for word in words]
         assert [(clause, word) for clause, word, _ in check.trees] == words
         for (_, word), (_, _, got) in zip(words, check.trees):
-            want = parse_subword_until_lca(table, word.methods, stats)
-            assert [tree.key for tree in got] == [tree.key for tree in want]
-            assert [leaf_sites(tree) for tree in got] == [leaf_sites(tree) for tree in want]
-            assert [tree_sites(tree) for tree in got] == [tree_sites(tree) for tree in want]
+            want = reference_parse(table, word.methods, True, stats)
+            assert [sited_key(tree, task.grammar) for tree in got] == [tree.key for tree in want]
+            assert [tree_sites(tree, task.grammar) for tree in got] == [
+                reference_sites(tree) for tree in want
+            ]
         assert (check.stats.branches, check.stats.trees) == (stats.branches, stats.trees)
     return shared
 
@@ -255,6 +246,25 @@ def test_same_shape_sites_share_one_table_and_search():
         (("other", "7"), True), (("other", "8"), False), (("other", "9"), False),
         (("run", "7"), True), (("run", "8"), False), (("run", "9"), True), (("run", "10"), True),
     ]
+
+
+def test_same_shape_sites_hold_the_first_sites_trees():
+    prog = parse_program(PROGRAMS["same-shape"], "prog.mg")
+    first, *further = search_stage(simplify_stage(grammar_stage(prog)))
+    # sites x, y and z are allocated on lines 7-9; each site's grammar
+    # reads the lines of the calls on its own variable
+    lines = PROGRAMS["same-shape"].splitlines()
+    for check, var in zip([first, *further], "xyz", strict=True):
+        assert check.task.site.endswith(f":{7 + 'xyz'.index(var)}")
+        own = {i for i, line in enumerate(lines, 1) if line.strip().startswith(f"{var}.")}
+        found = set()
+        for (_, _, trees), (_, _, first_trees) in zip(check.trees, first.trees, strict=True):
+            assert len(trees) == len(first_trees) > 0
+            assert all(tree is shared for tree, shared in zip(trees, first_trees))
+            for tree in trees:
+                found |= {site.line for site in tree_sites(tree, check.task.grammar)}
+        assert found == own, var
+    assert len(further) == 2 and all(c.table is first.table for c in further)
 
 
 def report_bytes(text: str, flags: list[str], tmp_path, monkeypatch, capsys) -> bytes:
