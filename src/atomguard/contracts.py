@@ -33,6 +33,7 @@ __all__ = [
 
 WILDCARD = "_"
 MAX_GROUP_NESTING = 100  # parenthesized groups inside one another
+MAX_CLAUSE_WORDS = 65_536  # words one clause may denote, repeats counted
 
 
 class CallAtom(HashableRecord):
@@ -300,7 +301,22 @@ def parse_contract(text: str, module_methods: frozenset[str] | set[str]) -> Cont
 # expansion
 
 
-def _expand_seq(seq: _Seq, max_len: int, text: str) -> list[tuple[CallAtom, ...]]:
+def _measure(seq: _Seq) -> tuple[int, int]:
+    """The length of the longest word `seq` denotes, and how many words it
+    denotes, repeats counted: each item adds its longest branch and
+    multiplies by its branch count."""
+    longest, count = 0, 1
+    for item in seq.items:
+        if isinstance(item, CallAtom):
+            longest += 1
+        else:
+            sizes = [_measure(b) for b in item.branches]
+            longest += max([n for n, _ in sizes])
+            count *= sum([c for _, c in sizes])
+    return longest, count
+
+
+def _expand_seq(seq: _Seq) -> list[tuple[CallAtom, ...]]:
     words: list[tuple[CallAtom, ...]] = [()]
     for item in seq.items:
         if isinstance(item, CallAtom):
@@ -308,24 +324,33 @@ def _expand_seq(seq: _Seq, max_len: int, text: str) -> list[tuple[CallAtom, ...]
         else:
             suffixes = []
             for b in item.branches:
-                suffixes.extend(_expand_seq(b, max_len, text))
+                suffixes.extend(_expand_seq(b))
         words = [w + s for w in words for s in suffixes]
-        for w in words:
-            if len(w) > max_len:
-                raise ClauseTooLongError(
-                    f"clause {text!r} expands past {max_len} calls; "
-                    f"raise the word-length bound to allow it"
-                )
     return words
 
 
 def expand_clause(clause: Clause, max_clause_len: int = 16) -> list[CallSequence]:
-    """All call sequences the clause denotes, in source order, deduplicated."""
+    """All call sequences the clause denotes, in source order, deduplicated.
+
+    The clause is measured first, from its tree: one whose longest word has
+    more than `max_clause_len` calls, or that denotes more than
+    `MAX_CLAUSE_WORDS` words, raises `ClauseTooLongError` before any word
+    is built."""
+    longest, count = _measure(clause.seq)
+    if longest > max_clause_len:
+        raise ClauseTooLongError(
+            f"clause {clause.text!r} expands past {max_clause_len} calls; "
+            f"raise the word-length bound to allow it"
+        )
+    if count > MAX_CLAUSE_WORDS:
+        raise ClauseTooLongError(
+            f"clause {clause.text!r} expands to more than {MAX_CLAUSE_WORDS:,} words; "
+            f"split it into smaller clauses"
+        )
     seen: set[tuple[CallAtom, ...]] = set()
     out: list[CallSequence] = []
-    for w in _expand_seq(clause.seq, max_clause_len, clause.text):
+    for w in _expand_seq(clause.seq):
         if w not in seen:
             seen.add(w)
             out.append(CallSequence(atoms=w))
     return out
-

@@ -54,4 +54,5 @@ class StarNotAllowedError(ContractError):
 
 
 class ClauseTooLongError(ContractError):
-    """Clause expansion exceeded the configured word-length bound."""
+    """A clause's longest word exceeds the word-length bound, or it denotes
+    more words than `contracts.MAX_CLAUSE_WORDS`."""

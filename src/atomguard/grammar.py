@@ -86,10 +86,9 @@ class Production(HashableRecord):
 
 
 class BehaviorGrammar(HashableRecord):
-    """A grammar; `nonterminals` and `by_head` are computed on first read."""
+    """A start symbol, the terminals and the productions, in order."""
 
-    __slots__ = ("start", "terminals", "productions", "label", "_nonterminals", "_by_head")
-    _fields = __slots__[:4]
+    __slots__ = ("start", "terminals", "productions", "label")
 
     def __init__(self, start: str, terminals: frozenset[str], productions: tuple[Production, ...],
                  label: str = ""):
@@ -97,29 +96,6 @@ class BehaviorGrammar(HashableRecord):
         self.terminals = terminals
         self.productions = productions
         self.label = label  # e.g. thread or class the grammar describes
-        self._nonterminals: Optional[frozenset[str]] = None
-        self._by_head: Optional[dict[str, tuple[Production, ...]]] = None
-
-    @property
-    def nonterminals(self) -> frozenset[str]:
-        if self._nonterminals is None:
-            syms = {p.head for p in self.productions}
-            for p in self.productions:
-                for s in p.body:
-                    if s not in self.terminals:
-                        syms.add(s)
-            syms.add(self.start)
-            self._nonterminals = frozenset(syms)
-        return self._nonterminals
-
-    @property
-    def by_head(self) -> dict[str, tuple[Production, ...]]:
-        if self._by_head is None:
-            out: dict[str, list[Production]] = {}
-            for p in self.productions:
-                out.setdefault(p.head, []).append(p)
-            self._by_head = {h: tuple(ps) for h, ps in out.items()}
-        return self._by_head
 
 
 def symbol_method(symbol: str) -> Optional[str]:
@@ -482,70 +458,6 @@ def site_restrictor(
 _KEPT_PREFIXES = ("@", SCOPE_START_PREFIX)
 
 
-def _kept_on_cycles(rule_of: dict[str, Production]) -> set[str]:
-    """The single-rule heads in `rule_of` that simplification keeps.
-
-    Inlining the single-rule heads one at a time in sorted order, a head is
-    kept when the heads inlined before it have made its rule refer to it:
-    when some cycle of single-rule heads runs from it back to it through
-    inlined heads that sort before it only.  Such a cycle stays inside the
-    head's strongly connected component, so only heads on a cyclic component
-    are tested, each by a walk of its component.
-    """
-    succ = {h: [s for s in p.body if s in rule_of] for h, p in rule_of.items()}
-    # Tarjan's strongly connected components, with an explicit stack
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    path: list[str] = []
-    on_path: set[str] = set()
-    cyclic: list[list[str]] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        path.append(root)
-        on_path.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    path.append(w)
-                    on_path.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_path and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = [path.pop()]
-                    while comp[-1] != v:
-                        comp.append(path.pop())
-                    on_path.difference_update(comp)
-                    if len(comp) > 1 or v in succ[v]:
-                        cyclic.append(comp)
-
-    kept: set[str] = set()
-    for comp in cyclic:
-        members = set(comp)
-        for head in sorted(comp):
-            seen: set[str] = set()
-            todo = [head]
-            while todo and head not in kept:
-                for sym in succ[todo.pop()]:
-                    if sym == head:
-                        kept.add(head)
-                        break
-                    if sym in members and sym < head and sym not in kept and sym not in seen:
-                        seen.add(sym)
-                        todo.append(sym)
-    return kept
-
-
 _Expansion = tuple[list[str], list[Optional[CallSite]]]
 _END = object()  # on `_expand`'s stack: a shared head's expansion ends here
 _UNDER_WAY: _Expansion = ([], [])  # in its memo: a shared head being expanded
@@ -557,11 +469,15 @@ def _expand(
     inline: dict[str, Production],
     shared: set[str],
     memo: dict[str, _Expansion],
-) -> Optional[_Expansion]:
+) -> _Expansion:
     """`body` with each inlined symbol replaced by its rule's expanded body,
     depth first, and `sites` to match.  The expansion of a `shared` head is
-    made once and kept in `memo`.  None if a shared head turns up inside its
-    own expansion: the inlined heads form a cycle."""
+    made once and kept in `memo`.
+
+    A cycle of inlined heads that `body` reaches passes some shared head
+    twice (the head where the cycle is entered is used from outside it and
+    from inside); meeting that head inside its own expansion raises
+    `AtomguardError`, since the cycle derives no finite word."""
     out_body: list[str] = []
     out_sites: list[Optional[CallSite]] = []
     # the symbols still to expand, last first, and their sites
@@ -588,7 +504,10 @@ def _expand(
             todo += rule.body[::-1]
             todo_sites += rule.sites[::-1]
         elif done is _UNDER_WAY:
-            return None
+            raise AtomguardError(
+                f"grammar node {sym!r} has a single rule and derives itself"
+                " through single-rule nodes only, so it derives no finite word"
+            )
         else:
             out_body += done[0]
             out_sites += done[1]
@@ -599,9 +518,9 @@ def _inline(
     grammar: BehaviorGrammar,
     by_head: dict[str, list[Production]],
     inline: dict[str, Production],
-) -> Optional[list[Production]]:
+) -> list[Production]:
     """The rules the start symbol reaches once the heads in `inline` are
-    inlined, in grammar order; None if those heads form a cycle."""
+    inlined, in grammar order, each expanded once by `_expand`."""
     terminals = grammar.terminals
     # The kept heads the start reaches through inlined ones; an inlined head
     # passed more than once is shared.
@@ -629,29 +548,26 @@ def _inline(
         if p.head not in reachable:
             continue
         if not names.isdisjoint(p.body):
-            expansion = _expand(p.body, p.sites, inline, shared, memo)
-            if expansion is None:
-                return None
-            p = Production(p.head, tuple(expansion[0]), tuple(expansion[1]))
+            body, sites = _expand(p.body, p.sites, inline, shared, memo)
+            p = Production(p.head, tuple(body), tuple(sites))
         out.append(p)
     return out
 
 
 def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
-    """Inline single-production node nonterminals and drop unreachable rules.
+    """Inline every single-rule node head the start symbol reaches, then drop
+    the rules it does not reach and repeated rules.
 
-    The language is unchanged; so is the method every remaining nonterminal
-    belongs to, since only control-flow-node symbols are inlined.
+    A node head is a control-flow-node symbol other than the start: method
+    symbols and scope starts are never inlined.  The language is unchanged;
+    so is the method every remaining nonterminal belongs to.  Each kept rule
+    the start reaches is expanded once, depth first, and the expansion of an
+    inlined head used more than once is made once and copied.
 
-    The result is that of inlining the qualifying heads one at a time in
-    sorted order, skipping a head whose rule refers to itself by then, and
-    then dropping the rules the start symbol does not reach and repeated
-    rules.  It is built directly: each kept rule the start reaches is
-    expanded once, depth first, and the expansion of an inlined head used
-    more than once is made once and copied.  That assumes the inlined heads
-    form no cycle.  Builder grammars have none (such a cycle derives no
-    finite word); when one turns up, `_kept_on_cycles` picks the heads to
-    keep and the expansion runs again without them.
+    A cycle of single-rule node heads that the start reaches raises
+    `AtomguardError`.  Builder grammars have none: every control-flow cycle
+    passes through a `while` node, whose two distinct successors give its
+    head two rules under every call and skip selection.
     """
     by_head: dict[str, list[Production]] = {}
     for p in grammar.productions:
@@ -662,17 +578,10 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         if len(rules) == 1 and not head.startswith(_KEPT_PREFIXES)
     }
     inline.pop(grammar.start, None)
-    out = _inline(grammar, by_head, inline)
-    if out is None:
-        for head in _kept_on_cycles(inline):
-            del inline[head]
-        out = _inline(grammar, by_head, inline)
-        assert out is not None, "the inlined heads still form a cycle"
-
     return BehaviorGrammar(
         start=grammar.start,
         terminals=grammar.terminals,
-        productions=_drop_repeated(out),
+        productions=_drop_repeated(_inline(grammar, by_head, inline)),
         label=grammar.label,
     )
 

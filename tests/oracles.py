@@ -171,13 +171,30 @@ def parse_dump(text: str) -> BehaviorGrammar:
     )
 
 
+def nonterminals(grammar: BehaviorGrammar) -> frozenset[str]:
+    """The start, every head and every body symbol that is no terminal."""
+    syms = {grammar.start}
+    for p in grammar.productions:
+        syms.add(p.head)
+        syms.update(s for s in p.body if s not in grammar.terminals)
+    return frozenset(syms)
+
+
+def rules_by_head(grammar: BehaviorGrammar) -> dict[str, list[Production]]:
+    """Each head's productions, in grammar order."""
+    out: dict[str, list[Production]] = {}
+    for p in grammar.productions:
+        out.setdefault(p.head, []).append(p)
+    return out
+
+
 def bounded_language(grammar: BehaviorGrammar, max_len: int) -> frozenset[tuple[str, ...]]:
     """All words of the grammar up to max_len terminals, computed exactly.
 
     Fixpoint over per-nonterminal word sets; concatenations longer than the
     bound are discarded, which cannot lose any word within the bound.
     """
-    words: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in grammar.nonterminals}
+    words: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in nonterminals(grammar)}
 
     def seq_words(body: tuple[str, ...]) -> set[tuple[str, ...]]:
         acc: set[tuple[str, ...]] = {()}
@@ -218,28 +235,29 @@ def find_nonterminal_bijection(
     """
     if g1.terminals != g2.terminals:
         return None
-    n1 = sorted(g1.nonterminals)
-    n2 = sorted(g2.nonterminals)
+    n1 = sorted(nonterminals(g1))
+    n2 = sorted(nonterminals(g2))
     if len(n1) != len(n2):
         return None
     if len(g1.productions) != len(g2.productions):
         return None
     prods2 = {(p.head, p.body) for p in g2.productions}
 
-    def signature(g: BehaviorGrammar, nt: str) -> tuple:
+    def signature(g: BehaviorGrammar, by_head: dict[str, list[Production]], nt: str) -> tuple:
         bodies = sorted(
             tuple(s if s in g.terminals else "?" for s in p.body)
-            for p in g.by_head.get(nt, ())
+            for p in by_head.get(nt, ())
         )
         uses = sum(p.body.count(nt) for p in g.productions)
         return (tuple(bodies), uses)
 
+    heads1, heads2 = rules_by_head(g1), rules_by_head(g2)
     sig2: dict[tuple, list[str]] = {}
     for nt in n2:
-        sig2.setdefault(signature(g2, nt), []).append(nt)
+        sig2.setdefault(signature(g2, heads2, nt), []).append(nt)
     candidates: dict[str, list[str]] = {}
     for nt in n1:
-        candidates[nt] = sig2.get(signature(g1, nt), [])
+        candidates[nt] = sig2.get(signature(g1, heads1, nt), [])
         if not candidates[nt]:
             return None
     order = sorted(n1, key=lambda nt: len(candidates[nt]))

@@ -79,6 +79,22 @@ def test_expansion_cap_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("atomguard:")
 
 
+def test_a_clause_of_too_many_words_is_an_error(tmp_path, capsys):
+    groups = " ".join(["(a | b)"] * 17)  # 131,072 words of 17 calls
+    path = tmp_path / "wide_clause.mg"
+    path.write_text(MODULE_AB.replace('"a b"', f'"{groups}"') + "class C {\n"
+                    "  thread void run() {\n    m = new M();\n    m.a();\n  }\n}\n")
+    assert run(["check", "--max-clause-len", "17", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"atomguard: clause {groups!r} expands to more than 65,536 words;"
+        " split it into smaller clauses\n"
+    )
+    assert run(["check", str(path)]) == 2
+    assert "expands past 16 calls" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_a_word_length_bound_below_one_is_a_usage_error(capsys, bound):
     assert run(["check", "--max-clause-len", bound, DIRTY]) == 2

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import atomguard.contracts
 from atomguard import (
     CallAtom,
     ClauseTooLongError,
@@ -15,6 +16,7 @@ from atomguard import (
     expand_clause,
     parse_contract,
 )
+from conftest import deadline
 from oracles import clause_words
 
 ALPHABET = frozenset({"a", "b", "c", "d"})
@@ -90,6 +92,34 @@ def test_expansion_length_cap():
     with pytest.raises(ClauseTooLongError):
         expand_clause(contract.clauses[0], 2)
     assert len(expand_clause(contract.clauses[0], 3)) == 1
+
+
+def clause_of(text: str):
+    return parse_contract(f'"{text}"', ALPHABET).clauses[0]
+
+
+def test_a_clause_is_measured_before_it_is_expanded():
+    # twelve groups of four denote 16.7 million words of twelve calls
+    clause = clause_of(" ".join(["(a | b | c | d)"] * 12))
+    with deadline(1.0):
+        with pytest.raises(ClauseTooLongError) as error:
+            expand_clause(clause)
+    assert str(error.value) == (
+        f"clause {clause.text!r} expands to more than 65,536 words; split it into smaller clauses"
+    )
+    # the length bound is tested first, with its own message
+    with pytest.raises(ClauseTooLongError, match="expands past 11 calls; raise the word-length"):
+        expand_clause(clause, 11)
+
+
+def test_the_word_count_bound_counts_repeats(monkeypatch):
+    monkeypatch.setattr(atomguard.contracts, "MAX_CLAUSE_WORDS", 4)
+    assert len(expand_clause(clause_of("(a | b) (c | d)"))) == 4
+    assert len(expand_clause(clause_of("(a | (b | c d) d)"))) == 3
+    with pytest.raises(ClauseTooLongError, match="more than 4 words"):
+        expand_clause(clause_of("(a | b) (c | d) (a | b)"))
+    with pytest.raises(ClauseTooLongError, match="more than 4 words"):
+        expand_clause(clause_of("(a | a | a | a | a)"))  # one word, five times
 
 
 def test_degenerate_groups_rejected():

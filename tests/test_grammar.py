@@ -29,6 +29,8 @@ from atomguard import (
     simplify_stage,
     symbol_method,
 )
+from atomguard.frontend import build_cfg
+from atomguard.frontend.syntax import While
 from atomguard.grammar import _reachable_methods, site_restrictor
 from atomguard.pointsto import module_alloc_sites
 from atomguard.verifier import _grammar, _units
@@ -41,6 +43,7 @@ from oracles import (
     parse_dump,
     reference_build,
     reference_simplify_grammar,
+    rules_by_head,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -216,11 +219,47 @@ def every_grammar(prog):
                     )
 
 
+def single_rule_node_heads(grammar) -> dict[str, Production]:
+    """The heads `simplify_grammar` inlines, with their rules: node symbols
+    other than the start that head a single rule."""
+    return {
+        head: rules[0]
+        for head, rules in rules_by_head(grammar).items()
+        if len(rules) == 1 and head != grammar.start and not head.startswith(("@", "$start:"))
+    }
+
+
+def derives_itself(rules: dict[str, Production], head: str) -> bool:
+    """Whether `head` is on a cycle of the heads in `rules`, each named in
+    the rule of the one before: a depth-first search from its rule."""
+    seen: set[str] = set()
+    todo = [head]
+    while todo:
+        for sym in rules[todo.pop()].body:
+            if sym == head:
+                return True
+            if sym in rules and sym not in seen:
+                seen.add(sym)
+                todo.append(sym)
+    return False
+
+
 def assert_simplifies_like_reference(grammar):
-    got = simplify_grammar(grammar)
+    """`simplify_grammar` gives the reference's result, or it raises, and
+    it raises exactly when the reference keeps a single-rule node head: one
+    on a cycle of such heads that the start reaches.  The error names a
+    head of that cycle."""
     want = reference_simplify_grammar(grammar)
-    assert dump_grammar(got) == dump_grammar(want)
-    assert [p.sites for p in got.productions] == [p.sites for p in want.productions]
+    rules = single_rule_node_heads(grammar)
+    if rules.keys().isdisjoint(p.head for p in want.productions):
+        got = simplify_grammar(grammar)
+        assert dump_grammar(got) == dump_grammar(want)
+        assert [p.sites for p in got.productions] == [p.sites for p in want.productions]
+        return
+    with pytest.raises(AtomguardError, match="derives itself") as error:
+        simplify_grammar(grammar)
+    (named,) = [head for head in rules if f"node {head!r} " in str(error.value)]
+    assert derives_itself(rules, named)
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,13 +285,13 @@ def test_simplify_matches_reference_on_bundled_programs():
     assert count > 100
 
 
-def test_simplify_cycle_keeps_the_later_symbol():
-    # Inlining X (first in sorted order) turns Y's rule self-recursive, so Y
-    # stays; visiting Y first would have kept X instead.
+def test_simplify_rejects_a_cycle_of_single_rule_nodes():
+    # The reference, inlining X first, keeps Y with a rule that derives no
+    # finite word; the one pass names X, where the start enters the cycle.
     grammar = parse_dump("Start: S\nS -> X\nX -> Y a\nY -> X b\n")
-    simplified = simplify_grammar(grammar)
-    assert dump_grammar(simplified) == "Start: S\nS -> Y a\nY -> Y a b\n"
-    assert dump_grammar(reference_simplify_grammar(grammar)) == dump_grammar(simplified)
+    assert dump_grammar(reference_simplify_grammar(grammar)) == "Start: S\nS -> Y a\nY -> Y a b\n"
+    with pytest.raises(AtomguardError, match="^grammar node 'X' has a single rule and derives itself"):
+        simplify_grammar(grammar)
 
 
 def test_simplify_splices_every_occurrence_with_its_sites():
@@ -339,6 +378,69 @@ def test_simplify_matches_reference_on_random_grammars(grammar):
 )
 def test_simplify_matches_reference_on_cycles_and_edge_cases(dump):
     assert_simplifies_like_reference(parse_dump(dump))
+
+
+# The one-pass simplification relies on this: every control-flow cycle
+# passes through a `while` node, whose two distinct successors give its head
+# two rules under every call and skip selection, so no builder grammar has a
+# cycle of single-rule node heads.
+OPTION_SETS = ({}, {"class_scope": True}, {"points_to": False})
+
+
+def assert_single_rule_heads_form_no_cycle(prog) -> tuple[int, int, int]:
+    """Every raw grammar that `grammar_stage` yields under each option set,
+    a base grammar carried by site tasks included, has no single-rule node
+    head on a cycle of such heads, and every `while` node of the program has
+    two distinct successors; returns the numbers of grammars, of tasks
+    carrying a base grammar and of `while` nodes."""
+    loops = 0
+    for method in prog.client_methods.values():
+        for node in build_cfg(method).nodes:
+            if node.stmt.__class__ is While:
+                assert len(node.succ) == 2 and node.succ[0] != node.succ[1], (method.name, node)
+                loops += 1
+    grammars: dict[int, BehaviorGrammar] = {}
+    drops = 0
+    for options in OPTION_SETS:
+        for task in grammar_stage(prog, **options):
+            grammars[id(task.grammar)] = task.grammar
+            drops += task.drop is not None
+    for grammar in grammars.values():
+        rules = single_rule_node_heads(grammar)
+        assert [head for head in rules if derives_itself(rules, head)] == [], grammar.label
+    return len(grammars), drops, loops
+
+
+def test_builder_grammars_have_no_cycle_of_single_rule_nodes():
+    paths = sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))
+    progs = [parse_program(path.read_text(), path.name) for path in paths]
+    for seed in range(200):
+        text, _ = random_program(random.Random(seed))
+        progs.append(parse_program(text, f"seed{seed}.mg"))
+        text = two_receivers(text, random.Random(f"receivers{seed}"))
+        progs.append(parse_program(text, f"receivers{seed}.mg"))
+    counts = [assert_single_rule_heads_form_no_cycle(prog) for prog in progs]
+    grammars, drops, loops = map(sum, zip(*counts))
+    assert grammars > 1000 and drops > 500 and loops > 100
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "while (cond) { }",
+        "m.a(); while (cond) { m.b(); }",
+        "while (cond) { while (m.a()) { m.b(); } m.a(); }",
+        "while (cond) { while (cond) { } }",
+        "m.a(); return; while (cond) { m.b(); }",
+        "while (cond) { if (cond) { } else { } }",
+        "while (cond) { if (cond) { m.a(); } }",
+    ],
+    ids=["empty-body", "last", "nested", "nested-empty", "after-return", "empty-if", "if"],
+)
+def test_loop_shapes_give_while_nodes_two_successors(body):
+    prog = parse_program(MODULE + "class C {\n  thread void f() { m = new M(); " + body + " }\n}\n", "t.mg")
+    grammars, _, loops = assert_single_rule_heads_form_no_cycle(prog)
+    assert grammars == len(OPTION_SETS) and loops == body.count("while")
 
 
 def test_simplify_is_linear_on_a_long_chain():

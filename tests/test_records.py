@@ -196,12 +196,3 @@ def test_production_sites_align_with_the_body():
         Production("h", ("a", "b"), (None,))
     with pytest.raises(ValueError):
         Production("h", (), (None,))
-
-
-def test_grammar_indexes_are_computed_from_its_productions():
-    a, b = Production("s", ("x", "t")), Production("t", ())
-    grammar = BehaviorGrammar("s", frozenset({"x"}), (a, b))
-    assert grammar.nonterminals == frozenset({"s", "t"})
-    assert grammar.by_head == {"s": (a,), "t": (b,)}
-    assert grammar.by_head is grammar.by_head
-    assert grammar == BehaviorGrammar("s", frozenset({"x"}), (a, b))
