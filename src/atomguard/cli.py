@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import gc
 import os
 import sys
 from functools import cache
@@ -114,6 +115,9 @@ def _print_check(raw: BehaviorGrammar, check: Check, dumps: set[str], out: list[
 
 
 def _render_table(table) -> str:
+    moves: list[list[tuple[str, int]]] = [[] for _ in table.states]
+    for (s, sym), t in table.goto.items():  # in (state, symbol) order
+        moves[s].append((sym, t))
     lines = [f"{len(table.states)} states"]
     for i, state in enumerate(table.states):
         lines.append(f"state {i}:")
@@ -122,10 +126,7 @@ def _render_table(table) -> str:
             body = list(p.body)
             body.insert(dot, ".")
             lines.append(f"  {p.head} -> {' '.join(body)}")
-        moves = sorted(
-            (sym, t) for (s, sym), t in table.goto.items() if s == i
-        )
-        for sym, t in moves:
+        for sym, t in moves[i]:
             lines.append(f"  [{sym} -> state {t}]")
     return "\n".join(lines) + "\n"
 
@@ -174,7 +175,19 @@ def run(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # The checker's records hold no reference cycles, so the cyclic
+    # collector would only spend time finding none: it is paused while the
+    # files are parsed, checked and reported, and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _run(args: argparse.Namespace) -> int:
     config = Config(
         class_scope=args.class_scope,
         points_to=not args.no_points_to,

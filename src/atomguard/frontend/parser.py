@@ -31,6 +31,7 @@ from .syntax import (
     CondExpr,
     Expr,
     ExprStmt,
+    Flow,
     If,
     Increment,
     IntLit,
@@ -39,6 +40,7 @@ from .syntax import (
     New,
     Param,
     Program,
+    RETURN_SLOT,
     Return,
     Stmt,
     Ternary,
@@ -65,10 +67,15 @@ class _Parser:
         self.filename = filename
         self.depth = 0  # open blocks, statement bodies, expressions, operators
         # Recorded as parsed, for `_resolve`: client methods' calls in statement
-        # order (a module method's `method_calls` are dropped), client `new`s
+        # order (a module method's `method_calls` are dropped), client `new`s;
+        # for points-to: client methods' locals and value flows (`Program.flows`)
         self.calls: dict[str, list[Call]] = {}
         self.news: list[_New] = []
         self.method_calls: list[Call] = []
+        self.local_names: dict[str, frozenset[str]] = {}
+        self.method_locals: set[str] = set()
+        self.flows: dict[str, list[Flow]] = {}
+        self.method_flows: list[Flow] = []
         self.client = False  # parsing a client class
         self.line = 0  # of the statement being parsed
 
@@ -110,7 +117,8 @@ class _Parser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes, source_name, calls=self.calls)
+        return Program(classes, source_name, calls=self.calls, local_names=self.local_names,
+                       flows=self.flows)
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")
@@ -149,8 +157,10 @@ class _Parser:
         return_type = self.expect("ident")[1]
         name = self.expect("ident")[1]
         self.method_calls = []
+        self.method_flows = []
         if self.client:
             self.calls[name] = self.method_calls
+            self.flows[name] = self.method_flows
         self.expect("punct", "(")
         params: list[Param] = []
         if not self.at("punct", ")"):
@@ -163,7 +173,10 @@ class _Parser:
                 if not self.accept("punct", ","):
                     break
         self.expect("punct", ")")
+        self.method_locals = {p.name for p in params}
         body = self.block()
+        if self.client:
+            self.local_names[name] = frozenset(self.method_locals)
         return MethodDecl(
             name, tuple(params), return_type, body, is_atomic, is_thread, class_name, first[2]
         )
@@ -185,16 +198,34 @@ class _Parser:
         if t[0] == "ident":  # most statements: a call, assignment or increment
             self.pos += 1
             name = t[1]
-            if self.accept("punct", "="):
+            op = self.tokens[self.pos]
+            if op[0] == "punct" and op[1] == "=":
+                self.pos += 1
                 value = self.expression(call_ok=True)
                 self.expect("punct", ";")
+                self.method_flows.append((name, value, line))
                 return Assign(name, value, False, line)
-            if self.accept("punct", "++"):
+            if op[0] == "punct" and op[1] == "++":
+                self.pos += 1
                 self.expect("punct", ";")
                 return Increment(name, line)
-            call = self.call_suffix(name, t)
-            self.expect("punct", ";")
+            # The commonest statement, `x.m();`, read in one step.  A token is
+            # looked at only if the one before it matched, so it exists: the
+            # end-of-input token ends the list.
+            tokens = self.tokens
+            pos = self.pos
+            if (op[1] == "." and op[0] == "punct" and tokens[pos + 1][0] == "ident"
+                    and tokens[pos + 2][1] == "(" and tokens[pos + 2][0] == "punct"
+                    and tokens[pos + 3][1] == ")" and tokens[pos + 3][0] == "punct"
+                    and tokens[pos + 4][1] == ";" and tokens[pos + 4][0] == "punct"
+                    and self.depth < MAX_NESTING):  # the argument list's level
+                self.pos = pos + 5
+                call = Call(name, tokens[pos + 1][1], (), line, t[3])
+            else:
+                call = self.call_suffix(name, t)
+                self.expect("punct", ";")
             self.method_calls.append(call)
+            self.method_flows.append((None, call, line))
             return ExprStmt(call, line)
         if t[0] == "punct" and t[1] == "{":
             return self.block()
@@ -202,6 +233,8 @@ class _Parser:
             self.expect("punct", "(")
             cond = self.expression(call_ok=True)
             self.expect("punct", ")")
+            if cond.__class__ is Call:
+                self.method_flows.append((None, cond, line))
             self.nest()
             then = self.statement()
             orelse = self.statement() if self.accept("kw", "else") else None
@@ -211,6 +244,8 @@ class _Parser:
             self.expect("punct", "(")
             cond = self.expression(call_ok=True)
             self.expect("punct", ")")
+            if cond.__class__ is Call:
+                self.method_flows.append((None, cond, line))
             self.nest()
             body = self.statement()
             self.depth -= 1
@@ -219,6 +254,7 @@ class _Parser:
             value = None
             if not self.at("punct", ";"):
                 value = self.expression(call_ok=False)
+                self.method_flows.append((RETURN_SLOT, value, line))
             self.expect("punct", ";")
             return Return(value, line)
         if self.accept("kw", "var"):
@@ -227,6 +263,8 @@ class _Parser:
             if self.accept("punct", "="):
                 value = self.expression(call_ok=True)
             self.expect("punct", ";")
+            self.method_locals.add(name)
+            self.method_flows.append((name, value, line))
             return Assign(name, value, True, line)
         raise self.error(f"unexpected token {t[1]!r}")
 
@@ -241,12 +279,14 @@ class _Parser:
     def call_args(self) -> tuple[Expr, ...]:
         self.nest()
         self.expect("punct", "(")
+        if self.accept("punct", ")"):
+            self.depth -= 1
+            return ()
         args: list[Expr] = []
-        if not self.at("punct", ")"):
-            while True:
-                args.append(self.expression(call_ok=False))
-                if not self.accept("punct", ","):
-                    break
+        while True:
+            args.append(self.expression(call_ok=False))
+            if not self.accept("punct", ","):
+                break
         self.expect("punct", ")")
         self.depth -= 1
         return tuple(args)

@@ -165,7 +165,7 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
 
     shift_states: dict[str, list[int]] = {}
     goto_sources: dict[str, list[tuple[int, int]]] = {}
-    for (s, sym), t in sorted(goto.items()):
+    for (s, sym), t in goto.items():  # in (state, symbol) order
         if sym in terminals:
             shift_states.setdefault(sym, []).append(s)
         else:

@@ -9,19 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .frontend.parser import iter_method_statements
-from .frontend.syntax import (
-    Assign,
-    Call,
-    ClassDecl,
-    Expr,
-    Name,
-    New,
-    Program,
-    Return,
-    Ternary,
-    statement_call,
-)
+from .frontend.syntax import RETURN_SLOT, Call, ClassDecl, Expr, Name, New, Program, Ternary
 from .records import HashableRecord, Record
 
 __all__ = [
@@ -30,8 +18,6 @@ __all__ = [
     "compute_pointsto",
     "module_alloc_sites",
 ]
-
-RETURN_SLOT = "@return"
 
 
 class AllocationSite(HashableRecord):
@@ -51,6 +37,9 @@ class AllocationSite(HashableRecord):
         return f"{self.class_name}@{self.file}:{self.line}"
 
 
+_NONE: frozenset = frozenset()
+
+
 class PointsToResult(Record):
     __slots__ = ("sites", "may", "_locals")
 
@@ -61,76 +50,61 @@ class PointsToResult(Record):
         self._locals = {} if _locals is None else _locals
 
     def var_key(self, method: str, name: str) -> str:
-        if name in self._locals.get(method, frozenset()):
+        if name in self._locals.get(method, _NONE):
             return f"{method}:{name}"
         return name
 
     def may_sites(self, method: str, name: str) -> frozenset[int]:
-        return self.may.get(self.var_key(method, name), frozenset())
+        return self.may.get(self.var_key(method, name), _NONE)
 
 
 def compute_pointsto(program: Program) -> PointsToResult:
     """May-point-to sets per variable, as allocation-site indexes.
 
     Assignments, argument passing, and returns copy sets; the analysis
-    iterates to a fixpoint and ignores control flow.  One walk over each
-    client method body collects its locals and the expressions whose value
-    goes somewhere; a walk over those expressions collects the allocation
-    sites (numbered in statement order, then depth first) and the value
-    flows, whose variables get their keys once every method's locals are
-    known.
+    iterates to a fixpoint and ignores control flow.  It reads each client
+    method's locals and value flows as the parser recorded them
+    (`Program.local_names` and `Program.flows`), and walks each flow's
+    expression for the allocation sites (numbered in statement order, then
+    depth first) and the value flows, whose variables get their keys once
+    every method's locals are known.
     """
     module_names = {c.name for c in program.modules}
-    result = PointsToResult(sites=[], may={})
+    result = PointsToResult(sites=[], may={}, _locals=program.local_names)
     # A variable is (method, name) until its key is known; the return slot
     # is always method-scoped.
     seeds: list[tuple[tuple[str, str], int]] = []  # (variable, site index)
     copies: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (source, dest)
 
-    # The expressions still to walk, last first, each with its method and
-    # line and where its value goes (None: nowhere).  An explicit stack, not
-    # a nested function that calls itself: such a function holds itself
-    # through its closure, and with it the program, until the cyclic
-    # garbage collector runs.
-    todo: list[tuple[str, int, tuple[str, str] | None, Expr]] = []
-    for c in program.client_classes:
-        for m in c.methods:
-            names = {p.name for p in m.params}
-            for stmt in iter_method_statements(m):
-                if isinstance(stmt, Assign):
-                    if stmt.declares:
-                        names.add(stmt.target)
-                    todo.append((m.name, stmt.line, (m.name, stmt.target), stmt.value))
-                elif isinstance(stmt, Return) and stmt.value is not None:
-                    todo.append((m.name, stmt.line, (m.name, RETURN_SLOT), stmt.value))
-                else:
-                    call = statement_call(stmt)
-                    if call is not None:
-                        todo.append((m.name, stmt.line, None, call))
-            result._locals[m.name] = frozenset(names)
-
-    todo.reverse()
-    while todo:
-        method, line, dest, e = todo.pop()
-        if isinstance(e, Ternary):
-            todo += ((method, line, dest, e.other), (method, line, dest, e.then))
-        elif isinstance(e, New) and e.class_name in module_names:
-            site = AllocationSite(
-                len(result.sites), e.class_name, method, program.source_name, line
-            )
-            result.sites.append(site)
-            if dest is not None:
-                seeds.append((dest, site.index))
-        elif isinstance(e, Name) and dest is not None:
-            copies.append(((method, e.id), dest))
-        elif isinstance(e, Call):
-            params: list[tuple[str, str]] = []
-            if e.receiver is None:
-                if dest is not None:
-                    copies.append(((e.method, RETURN_SLOT), dest))
-                params = [(e.method, p.name) for p in program.client_methods[e.method].params]
-            for i in reversed(range(len(e.args))):
-                todo.append((method, line, params[i] if i < len(params) else None, e.args[i]))
+    # The expressions still to walk, last first, each with where its value
+    # goes (None: nowhere).  An explicit stack, not a nested function that
+    # calls itself: such a function holds itself through its closure, and
+    # with it the program, until the cyclic garbage collector runs.
+    todo: list[tuple[tuple[str, str] | None, Expr]] = []
+    for method, flows in program.flows.items():
+        for dest, value, line in flows:
+            todo.append((None if dest is None else (method, dest), value))
+            while todo:
+                dest_var, e = todo.pop()
+                if isinstance(e, Ternary):
+                    todo += ((dest_var, e.other), (dest_var, e.then))
+                elif isinstance(e, New) and e.class_name in module_names:
+                    site = AllocationSite(
+                        len(result.sites), e.class_name, method, program.source_name, line
+                    )
+                    result.sites.append(site)
+                    if dest_var is not None:
+                        seeds.append((dest_var, site.index))
+                elif isinstance(e, Name) and dest_var is not None:
+                    copies.append(((method, e.id), dest_var))
+                elif isinstance(e, Call):
+                    params: list[tuple[str, str]] = []
+                    if e.receiver is None:
+                        if dest_var is not None:
+                            copies.append(((e.method, RETURN_SLOT), dest_var))
+                        params = [(e.method, p.name) for p in program.client_methods[e.method].params]
+                    for i in reversed(range(len(e.args))):
+                        todo.append((params[i] if i < len(params) else None, e.args[i]))
 
     def key(var: tuple[str, str]) -> str:
         method, name = var
@@ -164,12 +138,12 @@ def module_alloc_sites(
 ) -> list[AllocationSite]:
     """Sites of the module that some receiver in `methods` may point to."""
     module_method_names = {m.name for m in module.methods}
-    hit: set[int] = set()
+    may: set[int] = set()
     for name in methods:
-        for call in program.calls[name]:
-            if call.receiver is None or call.method not in module_method_names:
-                continue
-            for idx in pointsto.may_sites(name, call.receiver):
-                if pointsto.sites[idx].class_name == module.name:
-                    hit.add(idx)
-    return [pointsto.sites[i] for i in sorted(hit)]
+        receivers = {
+            call.receiver for call in program.calls[name]
+            if call.receiver is not None and call.method in module_method_names
+        }
+        for receiver in receivers:
+            may |= pointsto.may_sites(name, receiver)
+    return [pointsto.sites[i] for i in sorted(may) if pointsto.sites[i].class_name == module.name]

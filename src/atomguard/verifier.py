@@ -341,6 +341,8 @@ def classify_stage(
     that unify with their word), deduplicated and ordered, and the run's
     counters.  Each tree's call sites are read from its check's grammar."""
     ae = compute_atomically_executed(program)
+    unsafe: dict[str, Optional[str]] = {}  # tree symbol -> its method, unless atomically executed
+    suggestions: dict[str, str] = {}  # method -> the suggestion to make it atomic
     stats = RunStats()
     deduped: list[Violation] = []
     seen: set[tuple] = set()
@@ -349,13 +351,23 @@ def classify_stage(
         stats.trees += check.stats.trees
         stats.branches += check.stats.branches
         thread = check.task.unit
+        site = check.task.site
         grammar = check.task.grammar
         for clause, word, trees in check.trees:
             methods = word.methods
             parameterized = word.is_parameterized
             for tree in trees:
-                method = symbol_method(tree.symbol)
-                if method is None or method in ae:
+                symbol = tree.symbol
+                if symbol in unsafe:
+                    method = unsafe[symbol]
+                else:
+                    method = symbol_method(symbol)
+                    if method in ae:
+                        method = None
+                    elif method is not None:
+                        suggestions.setdefault(method, f"make {method} atomic")
+                    unsafe[symbol] = method
+                if method is None:
                     continue
                 calls = tuple(tree_sites(tree, grammar))
                 if parameterized and not check_unification(word, calls):
@@ -364,18 +376,9 @@ def classify_stage(
                 if identity in seen:
                     continue
                 seen.add(identity)
-                deduped.append(
-                    Violation(
-                        clause=clause.text,
-                        word=methods,
-                        thread=thread,
-                        site=check.task.site,
-                        calls=calls,
-                        lca_symbol=tree.symbol,
-                        lca_method=method,
-                        suggestion=f"make {method} atomic",
-                    )
-                )
+                deduped.append(Violation(
+                    clause.text, methods, thread, site, calls, symbol, method, suggestions[method]
+                ))
 
     deduped.sort(key=lambda v: (v.thread, v.clause, v.word, [c.line for c in v.calls]))
     return deduped, stats

@@ -1654,7 +1654,7 @@ def _reference_contains_call(e: Expr) -> bool:
 
 def _reference_resolve(program: Program, filename: str) -> None:
     """The original resolver: fills the indexes, walking every client
-    statement for `new` class names and calls."""
+    statement for `new` class names, calls, locals and value flows."""
     seen_classes: set[str] = set()
     for c in program.classes:
         if c.name in seen_classes:
@@ -1684,7 +1684,17 @@ def _reference_resolve(program: Program, filename: str) -> None:
     for c in program.client_classes:
         for m in c.methods:
             calls = program.calls[m.name] = []
+            flows = program.flows[m.name] = []
+            names = {p.name for p in m.params}
             for stmt in iter_method_statements(m):
+                if isinstance(stmt, Assign):
+                    flows.append((stmt.target, stmt.value, stmt.line))
+                    if stmt.declares:
+                        names.add(stmt.target)
+                elif isinstance(stmt, Return) and stmt.value is not None:
+                    flows.append((RETURN_SLOT, stmt.value, stmt.line))
+                elif statement_call(stmt) is not None:
+                    flows.append((None, statement_call(stmt), stmt.line))
                 # The statement's own expressions (not those of nested
                 # statements), pre-order, left to right.
                 if isinstance(stmt, (If, While)):
@@ -1734,6 +1744,7 @@ def _reference_resolve(program: Program, filename: str) -> None:
                     raise UnresolvedMethodError(
                         f"{filename}:{call.line}: no module declares method {call.method!r}"
                     )
+            program.local_names[m.name] = frozenset(names)
 
 
 def _reference_line_of(stmt: Stmt) -> int:

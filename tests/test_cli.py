@@ -6,17 +6,24 @@ import codecs
 import gc
 import hashlib
 import json
+import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import atomguard.cli
 import atomguard.frontend.parser
 import atomguard.grammar
 import atomguard.verifier
 from atomguard.cli import run, run_corpus
 from conftest import CORPUS, PACKAGE_DATA, PROGRAMS
+from generators import random_program
 from goldens import BRANCHING_CLIENT_REPORT, DUMP_DIGESTS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
 
 CLEAN = str(PROGRAMS / "nested_calls.mg")
 DIRTY = str(PROGRAMS / "branching_client.mg")
@@ -489,9 +496,8 @@ def sites_program(sites: int, shared: bool = False) -> str:
 
 
 def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
-    # points-to walks every client method body once (the parser records what
-    # the resolver checks); no layer walks them again per thread or per
-    # allocation site
+    # the parser records what the resolver and points-to read, so no layer
+    # walks a client method body: not once, per thread or per allocation site
     walks = count_layer_calls(monkeypatch, atomguard.frontend.parser, ["iter_method_statements"])
     per_size = {}
     for sites in (3, 12):
@@ -501,7 +507,7 @@ def test_statement_walks_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
         assert run(["check", str(prog)]) == 1
         per_size[sites] = walks["iter_method_statements"]
     capsys.readouterr()
-    assert per_size[3] == per_size[12] == 2, "one walk per client method"
+    assert per_size[3] == per_size[12] == 0, "no statement walk"
 
 
 def test_call_sites_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
@@ -559,12 +565,34 @@ def test_searches_do_not_grow_with_sites(tmp_path, monkeypatch, capsys):
     assert per_size == {3: (2, 2), 12: (2, 2)}
 
 
-def test_checks_leave_no_cyclic_garbage(capsys):
-    # a check frees what it built by reference counting alone: nothing it
-    # leaves behind waits for the cyclic garbage collector
+def garbage_sweep_programs(tmp_path) -> list[Path]:
+    """The bundled programs, generator seeds 0-199 and the benchmark
+    families at small sizes, as files."""
     files = sorted(PACKAGE_DATA.rglob("*.mg"))
+    texts = {f"seed{seed}.mg": random_program(random.Random(seed))[0] for seed in range(200)}
+    rng = random.Random(1)
+    cases = [families.diamonds(rng, k) for k in (1, 3, 5)]
+    cases += [families.loops(rng, k) for k in (1, 3)]
+    cases += [families.helper(rng, k) for k in (1, 3)]
+    cases += [families.random_draw(rng, i) for i in range(3)]
+    cases += [families.straight(rng, n) for n in (1, 10)]
+    cases += [families.chain(rng, d) for d in (1, 5)]
+    cases += [families.sites(rng, s) for s in (1, 3)]
+    texts.update((f"{case.name}.mg", case.text) for case in cases)
+    for name, text in texts.items():
+        files.append(tmp_path / name)
+        files[-1].write_text(text)
+    return files
+
+
+def test_checks_leave_no_cyclic_garbage(tmp_path, capsys):
+    # a check frees what it built by reference counting alone: nothing it
+    # leaves behind waits for the cyclic garbage collector, which `run`
+    # pauses for that reason
+    files = garbage_sweep_programs(tmp_path)
     run(["check", str(files[0])])  # builds the cached argument parser
     leftovers = {}
+    codes = Counter()
     gc.collect()
     gc.freeze()  # collections below only look at what the checks allocate
     try:
@@ -572,16 +600,54 @@ def test_checks_leave_no_cyclic_garbage(capsys):
             for path in files:
                 gc.collect()
                 gc.disable()
-                run(["check", *flags, str(path)])
+                code = run(["check", *flags, str(path)])
                 found = gc.collect()
                 gc.enable()
+                codes[code] += 1
                 if found:
                     leftovers[" ".join([*flags, path.name])] = found
+                capsys.readouterr()
     finally:
         gc.enable()
         gc.unfreeze()
-    capsys.readouterr()
     assert leftovers == {}
+    assert set(codes) == {0, 1}, "every check succeeds"
+    assert sum(codes.values()) == 3 * len(files) >= 3 * 250
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_restores_the_collector(enabled, tmp_path, monkeypatch, capsys):
+    # `run` pauses the cyclic collector while it checks, and leaves it as it
+    # found it on every way out
+    broken = tmp_path / "broken.mg"
+    broken.write_text("class {")
+    argvs = {
+        0: ["check", CLEAN],
+        1: ["check", DIRTY],
+        2: ["check", str(broken)],
+    }
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for code, argv in argvs.items():
+            assert run(argv) == code
+            assert gc.isenabled() is enabled, argv
+        for usage in ([], ["bogus"], ["check", "--format", "xml", CLEAN]):
+            assert run(usage) == 2
+            assert gc.isenabled() is enabled, usage
+        assert run(["corpus", str(CORPUS)]) == 0
+        assert gc.isenabled() is enabled
+        # and when a check raises (the benchmark's CPU limit, say)
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(atomguard.cli, "verify_with_stats", fail)
+        with pytest.raises(RuntimeError):
+            run(["check", CLEAN])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
 
 
 def test_clause_less_module_gets_no_dump_section(tmp_path, capsys):

@@ -264,6 +264,15 @@ def test_parse_matches_reference_on_one_token_mutations():
             assert_parses_like_reference(f"{before} {rng.choice(SOUP)} {after}")
 
 
+@pytest.mark.parametrize("depth", [98, 99, 100])
+def test_call_statements_at_the_nesting_limit_parse_like_reference(depth):
+    # a call's argument list opens a level of its own, whichever way the
+    # parser reads the statement
+    for stmt in ("m.a();", "m.a(1);", "m.a()", "m.a(;", "m.;", "m . a ( ) ;", "a();"):
+        body = "{" * depth + stmt + "}" * depth
+        assert_parses_like_reference(client(f"  void a() {{ }}\n  thread void t() {{\n{body}\n  }}"))
+
+
 # ---------------------------------------------------------------------------
 # control-flow graphs
 

@@ -69,8 +69,8 @@ RECORDS = [
     (Param, "name type_name", {"type_name": None}),
     (MethodDecl, "name params return_type body is_atomic is_thread class_name line", {}),
     (ClassDecl, "name methods contract_text line", {}),
-    (Program, "classes source_name client_methods module_methods calls",
-     {"client_methods": {}, "module_methods": {}, "calls": {}}),
+    (Program, "classes source_name client_methods module_methods calls local_names flows",
+     {"client_methods": {}, "module_methods": {}, "calls": {}, "local_names": {}, "flows": {}}),
     (Token, "kind text line column", {}),
     (CfgNode, "index kind line succ call result_var stmt",
      {"succ": [], "call": None, "result_var": None, "stmt": None}),
