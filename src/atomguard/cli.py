@@ -18,13 +18,12 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Optional
 
+from .contracts import MAX_CLAUSE_LEN
 from .errors import AtomguardError
 from .frontend.parser import parse_program
 from .glr import dump_tree
 from .grammar import BehaviorGrammar, dump_grammar, site_restrictor
-from .records import Record
 from .verifier import (
     Check,
     RunStats,
@@ -37,20 +36,7 @@ from .verifier import (
     verify_with_stats,
 )
 
-__all__ = ["Config", "run", "run_corpus", "main"]
-
-
-class Config(Record):
-    __slots__ = ("class_scope", "points_to", "fmt", "dumps", "max_clause_len", "color")
-
-    def __init__(self, class_scope: bool = False, points_to: bool = True, fmt: str = "text",
-                 dumps: Optional[set[str]] = None, max_clause_len: int = 16, color: bool = False):
-        self.class_scope = class_scope
-        self.points_to = points_to
-        self.fmt = fmt
-        self.dumps = set() if dumps is None else dumps  # {"grammar", "trees", "table"}
-        self.max_clause_len = max_clause_len
-        self.color = color
+__all__ = ["run", "run_corpus", "main"]
 
 
 def _want_color() -> bool:
@@ -74,11 +60,12 @@ def _read_source(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as in text mode
 
 
-def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Violation], RunStats]:
+def _analyze_file(path: Path, options: dict, dumps: set[str],
+                  out: list[str]) -> tuple[list[Violation], RunStats]:
+    """Check one file with the keywords of `verify_with_stats`, appending
+    the sections `dumps` names ("grammar", "trees", "table") to `out`."""
     program = parse_program(_read_source(path), filename=str(path))
-    options = dict(class_scope=config.class_scope, points_to=config.points_to,
-                   max_clause_len=config.max_clause_len)
-    if not config.dumps:
+    if not dumps:
         return verify_with_stats(program, **options)
     # The same stages as `verify_with_stats`, keeping each unsimplified
     # grammar for `--dump-grammar` and every check for the other dumps.
@@ -88,7 +75,7 @@ def _analyze_file(path: Path, config: Config, out: list[str]) -> tuple[list[Viol
         raw = task.grammar
         if task.drop is not None:  # the site's own, built only to print it
             raw = site_restrictor(raw, task.drop.tracked)(task.drop.own)
-        _print_check(raw, check, config.dumps, out)
+        _print_check(raw, check, dumps, out)
     return classify_stage(program, checks)
 
 
@@ -158,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-grammar", action="store_true")
         p.add_argument("--dump-trees", action="store_true")
         p.add_argument("--dump-table", action="store_true")
-        p.add_argument("--max-clause-len", type=_word_length, default=16, metavar="N")
+        p.add_argument("--max-clause-len", type=_word_length, default=MAX_CLAUSE_LEN, metavar="N")
 
     p_check = sub.add_parser("check", help="analyze one or more programs")
     p_check.add_argument("files", nargs="+", metavar="FILE")
@@ -188,27 +175,21 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    config = Config(
-        class_scope=args.class_scope,
-        points_to=not args.no_points_to,
-        fmt=args.format,
-        dumps={d for d in ("grammar", "trees", "table") if getattr(args, f"dump_{d}")},
-        max_clause_len=args.max_clause_len,
-        color=_want_color(),
-    )
+    options = dict(class_scope=args.class_scope, points_to=not args.no_points_to,
+                   max_clause_len=args.max_clause_len)
 
     if args.command == "corpus":
-        code, text = run_corpus(args.dir, config)
+        code, text = run_corpus(args.dir, **options)
         sys.stdout.write(text)
         return code
 
+    dumps = {d for d in ("grammar", "trees", "table") if getattr(args, f"dump_{d}")}
     out: list[str] = []
     all_violations: list[Violation] = []
     stats = RunStats()
     try:
         for name in args.files:
-            path = Path(name)
-            violations, file_stats = _analyze_file(path, config, out)
+            violations, file_stats = _analyze_file(Path(name), options, dumps, out)
             all_violations.extend(violations)
             stats.grammars += file_stats.grammars
             stats.trees += file_stats.trees
@@ -218,19 +199,18 @@ def _run(args: argparse.Namespace) -> int:
         return 2
     for section in out:
         sys.stdout.write(section + "\n")
-    use_color = config.color and config.fmt == "text"
-    sys.stdout.write(render_report(all_violations, config.fmt, stats, color=use_color))
+    use_color = args.format == "text" and _want_color()
+    sys.stdout.write(render_report(all_violations, args.format, stats, color=use_color))
     return 1 if all_violations else 0
 
 
-def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
-    """Check every NAME.bad.mg / NAME.fixed.mg pair under a directory.
+def run_corpus(directory: str, **options) -> tuple[int, str]:
+    """Check every NAME.bad.mg / NAME.fixed.mg pair under a directory, with
+    the keywords of `verify_with_stats`.
 
     A pair passes when the bad program reports at least one violation and
     the fixed program reports none.
     """
-    c = config or Config()  # pairs print no dumps
-    quiet = Config(c.class_scope, c.points_to, c.fmt, set(), c.max_clause_len, c.color)
     root = Path(directory)
     if not root.is_dir():
         return 2, f"atomguard: not a directory: {directory}\n"
@@ -246,8 +226,8 @@ def run_corpus(directory: str, config: Config | None = None) -> tuple[int, str]:
         if fixed is None:
             return 2, f"atomguard: {bad.name} has no {name}.fixed.mg counterpart\n"
         try:
-            bad_count = len(_analyze_file(bad, quiet, [])[0])
-            fixed_count = len(_analyze_file(fixed, quiet, [])[0])
+            bad_count = len(_analyze_file(bad, options, set(), [])[0])
+            fixed_count = len(_analyze_file(fixed, options, set(), [])[0])
         except (AtomguardError, OSError) as e:
             return 2, f"atomguard: {name}: {e}\n"
         ok = bad_count >= 1 and fixed_count == 0

@@ -33,6 +33,7 @@ __all__ = [
 
 WILDCARD = "_"
 MAX_GROUP_NESTING = 100  # parenthesized groups inside one another
+MAX_CLAUSE_LEN = 16  # default bound on the calls in one word
 MAX_CLAUSE_WORDS = 65_536  # words one clause may denote, repeats counted
 
 
@@ -329,7 +330,7 @@ def _expand_seq(seq: _Seq) -> list[tuple[CallAtom, ...]]:
     return words
 
 
-def expand_clause(clause: Clause, max_clause_len: int = 16) -> list[CallSequence]:
+def expand_clause(clause: Clause, max_clause_len: int = MAX_CLAUSE_LEN) -> list[CallSequence]:
     """All call sequences the clause denotes, in source order, deduplicated.
 
     The clause is measured first, from its tree: one whose longest word has

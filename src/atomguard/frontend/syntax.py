@@ -277,9 +277,3 @@ class Program(Record):
     @property
     def client_classes(self) -> list[ClassDecl]:
         return [c for c in self.classes if not c.is_module]
-
-    def class_named(self, name: str) -> Optional[ClassDecl]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None

@@ -191,29 +191,28 @@ class ParseTree:
     materialized: they stand for derivations outside the matched word, and
     elided_left is the body position of the first child.  count is the
     number of word terminals in the subtree.
-    eq_syms are the symbols on the path down from this node through children
-    covering the same terminals; z_syms, for a node covering none, are all
-    the symbols of its subtree.  The search drops a reduction whose head is
-    among the ones its children pass up.  Trees compare by identity.
+    syms, for a node covering word terminals, are the symbols on the path
+    down from it through children covering the same terminals; for a node
+    covering none, all the symbols of its subtree; for a leaf, none.  The
+    search drops a reduction whose head is among the ones its children pass
+    up.  Trees compare by identity.
     """
 
     __slots__ = (
-        "symbol", "count", "production", "children", "elided_left", "elided_right", "eq_syms",
-        "z_syms", "_key",
+        "symbol", "count", "production", "children", "elided_left", "elided_right", "syms",
+        "_key",
     )
 
     def __init__(self, symbol: str, count: int, production: Optional[int] = None,
                  children: Optional[tuple[ParseTree, ...]] = None, elided_left: int = 0,
-                 elided_right: int = 0, eq_syms: frozenset[str] = frozenset(),
-                 z_syms: frozenset[str] = frozenset()):
+                 elided_right: int = 0, syms: frozenset[str] = frozenset()):
         self.symbol = symbol
         self.count = count
         self.production = production
         self.children = children
         self.elided_left = elided_left
         self.elided_right = elided_right
-        self.eq_syms = eq_syms
-        self.z_syms = z_syms
+        self.syms = syms
         self._key: Optional[tuple] = None
 
     def __repr__(self) -> str:
@@ -340,12 +339,12 @@ def parse_subword_until_lca(
     lowest common ancestor of one occurrence of the word.  Every branch of
     the search is explored, last pushed first.
 
-    A branch is a tuple (stack, pos, rec_depth, rec_empty).  The stack is a
-    tuple of (state, node) cells; each word position has one leaf, which
-    every branch that shifts it pushes and every reduction takes as it is.
-    rec_depth holds (under state, symbol, depth) of every push since the
-    last shift, and rec_empty (under state, symbol) of the zero-count ones;
-    a branch may repeat neither, so the search ends.
+    A branch is a tuple (stack, pos, guards).  The stack is a tuple of
+    (state, node) cells; each word position has one leaf, which every
+    branch that shifts it pushes and every reduction takes as it is.
+    guards hold (under state, symbol, depth) of every push since the last
+    shift, and also (under state, symbol) of the zero-count ones; a branch
+    may repeat neither, so the search ends.
     """
     grammar = table.grammar
     word = tuple(word)
@@ -363,16 +362,16 @@ def parse_subword_until_lca(
 
     leaves = [ParseTree(sym, 1) for sym in word]
     first = word[0]
-    work = [(((goto[(s, first)], leaves[0]),), 1, empty, empty) for s in table.shift_states.get(first, ())]
+    work = [(((goto[(s, first)], leaves[0]),), 1, empty) for s in table.shift_states.get(first, ())]
     branches = len(work)
 
     while work:
-        stack, pos, rec_depth, rec_empty = work.pop()
+        stack, pos, guards = work.pop()
         m = len(stack)
         if pos < n:
             target = goto.get((stack[-1][0], word[pos]))
             if target is not None:
-                work.append((stack + ((target, leaves[pos]),), pos + 1, empty, empty))
+                work.append((stack + ((target, leaves[pos]),), pos + 1, empty))
                 branches += 1
             candidates = reduce_mid[stack[-1][0]]
         else:
@@ -393,32 +392,22 @@ def parse_subword_until_lca(
                 count += child.count
 
             # no nonterminal may repeat on a path without covering a new terminal
+            # (a leaf's syms are empty; a zero-count node's children all cover none)
             head = prod.head
+            syms = empty
             if count:
-                eq_syms = empty
                 for child in children:
                     if child.count == count:
-                        if child.children is not None:
-                            eq_syms = child.eq_syms
+                        syms = child.syms
                         break
-                if eq_syms:
-                    if head in eq_syms:
-                        continue
-                    eq_syms = eq_syms | {head}
-                else:
-                    eq_syms = frozenset((head,))
-                z_syms = empty
             else:
-                z_syms = empty
                 for child in children:
-                    z_syms = z_syms | child.z_syms
-                if head in z_syms:
-                    continue
-                z_syms = z_syms | {head}
-                eq_syms = empty
+                    syms = syms | child.syms
+            if head in syms:
+                continue
             node = ParseTree(
-                head, count, pi, tuple(children), elided_left, len(prod.body) - dot, eq_syms,
-                z_syms,
+                head, count, pi, tuple(children), elided_left, len(prod.body) - dot,
+                syms | {head},
             )
 
             if count == n:
@@ -442,16 +431,16 @@ def parse_subword_until_lca(
             depth = cut + 1
             for under, target in pushes:
                 key_d = (under, head, depth)
-                if key_d in rec_depth:
+                if key_d in guards:
                     continue
                 if count:
-                    next_empty = rec_empty
+                    next_guards = guards | {key_d}
                 else:
                     key_e = (under, head)
-                    if key_e in rec_empty:
+                    if key_e in guards:
                         continue
-                    next_empty = rec_empty | {key_e}
-                work.append((base + ((target, node),), pos, rec_depth | {key_d}, next_empty))
+                    next_guards = guards | {key_d, key_e}
+                work.append((base + ((target, node),), pos, next_guards))
                 branches += 1
 
     if stats is not None:

@@ -5,8 +5,7 @@ writes its own `__init__`.  `Record` compares records of the same class by
 their fields, prints them as `Name(field=value, ...)` and leaves them
 unhashable, as an unfrozen dataclass does; `HashableRecord` also hashes
 them by their fields, as a frozen dataclass does.  Neither forbids
-assignment.  A class whose `__slots__` also hold private caches names its
-fields in `_fields`.
+assignment.  A record's `_fields` are its `__slots__`.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
+        cls._fields = cls.__slots__
         cls._values = staticmethod(_getter(cls._fields))
 
     def __eq__(self, other):

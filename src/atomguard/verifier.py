@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .contracts import CallSequence, Clause, Contract, expand_clause, parse_contract
+from .contracts import MAX_CLAUSE_LEN, CallSequence, Clause, expand_clause, parse_contract
 from .errors import AtomguardError
 from .frontend.analysis import compute_atomically_executed, require_thread_entries
 from .frontend.syntax import ClassDecl, Program
@@ -220,16 +220,14 @@ class Check(HashableRecord):
 
 def grammar_stage(
     program: Program,
-    module: Optional[ClassDecl | str] = None,
-    contract: Optional[Contract] = None,
     *,
     class_scope: bool = False,
     points_to: bool = True,
-    max_clause_len: int = 16,
+    max_clause_len: int = MAX_CLAUSE_LEN,
 ) -> Iterator[Task]:
     """One unsimplified grammar per (module, unit, allocation site), in
-    report order; modules without contract clauses yield none.  `contract`,
-    which needs `module`, replaces that module's own contract.  Each
+    report order, each module checked against the contract in its own
+    annotation; modules without contract clauses yield none.  Each
     reachable method's CFG is built once and shared until the stream ends.
 
     A unit with several allocation sites gets one base grammar, and each
@@ -237,33 +235,20 @@ def grammar_stage(
     some call shares with another site gets a grammar of its own instead,
     as does a unit's only site.  The base is built only if some site uses
     it."""
-    if module is None:
-        if contract is not None:
-            raise AtomguardError("a contract needs the module it is for")
-        modules = program.modules
-        if not modules:
-            raise AtomguardError("program declares no module with a contract")
-    else:
-        cls = program.class_named(module) if isinstance(module, str) else module
-        if cls is None or not cls.is_module:
-            raise AtomguardError(f"no module class named {module!r}")
-        modules = [cls]
+    modules = program.modules
+    if not modules:
+        raise AtomguardError("program declares no module with a contract")
 
     units = _units(program, class_scope)
     pointsto = compute_pointsto(program) if points_to else None
     with _shared_lowering():
         for mod in modules:
-            if contract is not None:
-                mod_contract = contract
-            else:
-                mod_contract = parse_contract(
-                    mod.contract_text or "", {m.name for m in mod.methods}
-                )
-            if not mod_contract.clauses:
+            contract = parse_contract(mod.contract_text or "", {m.name for m in mod.methods})
+            if not contract.clauses:
                 continue
             words = tuple(
                 (clause, tuple(expand_clause(clause, max_clause_len)))
-                for clause in mod_contract.clauses
+                for clause in contract.clauses
             )
             for unit in units:
                 sites = [None]
@@ -386,25 +371,23 @@ def classify_stage(
 
 def verify_with_stats(
     program: Program,
-    module: Optional[ClassDecl | str] = None,
-    contract: Optional[Contract] = None,
     *,
     class_scope: bool = False,
     points_to: bool = True,
-    max_clause_len: int = 16,
+    max_clause_len: int = MAX_CLAUSE_LEN,
 ) -> tuple[list[Violation], RunStats]:
     options = dict(class_scope=class_scope, points_to=points_to, max_clause_len=max_clause_len)
     # Every grammar is built and simplified before any search, so the CFGs
     # the builders share are freed before the searches' memory peak, and no
     # unsimplified grammar outlives its simplification.
-    tasks = list(simplify_stage(grammar_stage(program, module, contract, **options)))
+    tasks = list(simplify_stage(grammar_stage(program, **options)))
     return classify_stage(program, search_stage(tasks))
 
 
-def verify(program: Program, module=None, contract=None, **options) -> list[Violation]:
+def verify(program: Program, **options) -> list[Violation]:
     """All contract violations of the program, deduplicated and ordered; takes
-    the arguments of `verify_with_stats`."""
-    return verify_with_stats(program, module, contract, **options)[0]
+    the keywords of `verify_with_stats`."""
+    return verify_with_stats(program, **options)[0]
 
 
 # --------------------------------------------------------------------------

@@ -140,10 +140,21 @@ def test_criterion_5_corpus_reproduced():
     print(f"criterion 5: PASS 15 corpus pairs reproduced ({elapsed:.3f}s)")
 
 
+def with_contract(text: str, clause: str) -> str:
+    """A `random_program` text with its module's contract replaced by one
+    clause."""
+    header, rest = text.split("\n", 1)
+    assert header.startswith("class M contract {"), header
+    return f'class M contract {{ "{clause}" }} {{\n' + rest
+
+
 def test_criterion_6_randomized_oracle_battle():
     """On at least 500 random program/word cases, the set of (ancestor
     method, violation?) answers matches exhaustive bounded-trace
-    enumeration, and the full pipeline reports exactly the bad ancestors."""
+    enumeration, and the full pipeline, given the word as the program's own
+    contract, reports exactly the bad ancestors.  In one case of three the
+    contract is an alternation of two words, and the pipeline reports the
+    bad ancestors of both."""
     start = time.monotonic()
     cases = 0
     for seed in range(180):
@@ -155,18 +166,26 @@ def test_criterion_6_randomized_oracle_battle():
         grammar = simplify_grammar(build_behavior_grammar(program, "t0", module))
         table = build_parse_table(grammar)
         ae = compute_atomically_executed(program)
-        for _ in range(3):
-            word = random_word(rng, terms, traces)
-            expected = oracle_results(program, "t0", word, loop_bound=4)
-            got = set()
-            for tree in parse_subword_until_lca(table, word):
-                assert_tree_pruned(tree)
-                method = symbol_method(tree.symbol)
-                got.add((method, method not in ae))
-            assert got == expected, (seed, word)
-            contract = parse_contract('"' + " ".join(word) + '"', set(terms))
-            reported = {v.lca_method for v in verify(program, module, contract)}
-            assert reported == {m for m, bad in expected if bad}, (seed, word)
+        for case in range(3):
+            words = [random_word(rng, terms, traces)]
+            if case == 2:
+                words.append(random_word(rng, terms, traces))
+            bad = set()
+            for word in words:
+                expected = oracle_results(program, "t0", word, loop_bound=4)
+                got = set()
+                for tree in parse_subword_until_lca(table, word):
+                    assert_tree_pruned(tree)
+                    method = symbol_method(tree.symbol)
+                    got.add((method, method not in ae))
+                assert got == expected, (seed, word)
+                bad |= {m for m, is_bad in expected if is_bad}
+            clause = " | ".join(" ".join(word) for word in words)
+            if len(words) > 1:
+                clause = f"({clause})"
+            contracted = parse_program(with_contract(text, clause), f"seed{seed}.mg")
+            reported = {v.lca_method for v in verify(contracted)}
+            assert reported == bad, (seed, clause)
             cases += 1
     elapsed = time.monotonic() - start
     assert cases >= 500

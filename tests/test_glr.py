@@ -271,7 +271,7 @@ def test_parsing_is_deterministic():
 # thread body and helpers, clause -> (violations, trees, branches)
 SEARCH_SHAPES = {
     # an epsilon-recursive helper in a loop: the zero-count push guard
-    # (rec_empty) is all that keeps this search from running on and on
+    # (under state, symbol) is all that keeps this search from running on and on
     "epsilon-recursion": (
         "thread void run() { while (cond) { e(); m.a(); } m.b(); }\n"
         "  void e() { if (cond) { e(); e(); } }",
@@ -279,7 +279,7 @@ SEARCH_SHAPES = {
         (1, 1, 9),
     ),
     # mutual recursion through an empty alternative: without the repeated
-    # push guard (rec_depth) the search finds 5 trees in 2,014 branches and
+    # push guard (under state, symbol, depth) the search finds 5 trees in 2,014 branches and
     # reports the same two violations in the other order
     "hidden-left-recursion": (
         "thread void run() { f(); m.b(); }\n"

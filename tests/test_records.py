@@ -27,7 +27,6 @@ from atomguard import (
     Task,
     Violation,
 )
-from atomguard.cli import Config
 from atomguard.frontend import (
     Assign,
     Binary,
@@ -91,16 +90,13 @@ RECORDS = [
     (RunStats, "grammars trees branches", {"grammars": 0, "trees": 0, "branches": 0}),
     (Task, "module unit site grammar words drop", {"drop": None}),
     (Check, "task table trees stats", {}),
-    (Config, "class_scope points_to fmt dumps max_clause_len color",
-     {"class_scope": False, "points_to": True, "fmt": "text", "dumps": set(),
-      "max_clause_len": 16, "color": False}),
 ]
 # Unfrozen records compare by value but are unhashable, as the README says of
 # `Token` and `Call`; frozen ones hash by their fields.
 UNHASHABLE = {
     Call, Block, If, While, Return, Assign, Increment, ExprStmt, MethodDecl,
     ClassDecl, Program, Token, CfgNode, Cfg, PointsToResult, ParseStats,
-    RunStats, Config,
+    RunStats,
 }
 
 
@@ -179,13 +175,13 @@ def test_parse_tree_compares_by_identity():
     assert first == first and first != second
     assert len({first, second}) == 2
     tree = ParseTree("t.1", 1, production=2, children=(first,), elided_left=1, elided_right=0,
-                     eq_syms=frozenset({"t.1"}), z_syms=frozenset())
-    assert (tree.production, tree.children, tree.elided_left, tree.eq_syms) == (
+                     syms=frozenset({"t.1"}))
+    assert (tree.production, tree.children, tree.elided_left, tree.syms) == (
         2, (first,), 1, frozenset({"t.1"}))
     assert (first.production, first.children) == (None, None)
     assert not hasattr(first, "site"), "a leaf's call site is its parent production's"
     assert (first.elided_left, first.elided_right) == (0, 0)
-    assert first.eq_syms == first.z_syms == frozenset()
+    assert first.syms == frozenset()
     assert repr(tree) == "ParseTree('t.1', count=1, production=2, elided=1/0, 1 children)"
 
 

@@ -12,7 +12,6 @@ import atomguard.grammar
 from atomguard import (
     AtomguardError,
     compute_atomically_executed,
-    parse_contract,
     parse_program,
     render_report,
     verify,
@@ -190,21 +189,21 @@ def test_mark_atomic_fixes_the_report():
 
 def test_verify_requires_a_module():
     prog = parse_program("class C {\n  thread void run() { }\n}\n", "t.mg")
-    with pytest.raises(AtomguardError):
+    with pytest.raises(AtomguardError, match="no module with a contract"):
         verify(prog)
-    with pytest.raises(AtomguardError):
-        verify(load_program("branching_client.mg"), module="Client")
 
 
 def test_contract_needs_its_module():
-    prog = parse_program(
-        MODULE + "class C {\n  thread void run() { m = new M(); m.b(); m.a(); }\n}\n", "t.mg"
+    """Each module is checked against the contract in its own annotation,
+    and only on calls to its own objects."""
+    reversed_ab = 'class N contract { "b a" } {\n  void a() { }\n  void b() { }\n}\n'
+    client = (
+        "class C {\n  thread void run() {\n    m = new M(); n = new N();\n"
+        "    m.b(); m.a();\n    n.b(); n.a();\n  }\n}\n"
     )
-    reversed_ab = parse_contract('"b a"', {"a", "b"})
-    assert verify(prog) == []
-    with pytest.raises(AtomguardError, match="needs the module"):
-        verify(prog, contract=reversed_ab)
-    assert [v.word for v in verify(prog, "M", reversed_ab)] == [("b", "a")]
+    violations = verify(parse_program(MODULE + reversed_ab + client, "t.mg"))
+    assert [(v.word, [c.line for c in v.calls]) for v in violations] == [(("b", "a"), [13, 13])]
+    assert verify(parse_program(MODULE + client.replace("N", "M"), "t.mg")) == []
 
 
 def test_violation_fields_are_consistent():
