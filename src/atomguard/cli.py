@@ -3,7 +3,7 @@
     atomguard check prog.mg [...] [--class-scope] [--no-points-to]
                             [--format text|json] [--dump-grammar]
                             [--dump-trees] [--dump-table] [--max-clause-len N]
-    atomguard corpus DIR [same flags]
+    atomguard corpus DIR [--class-scope] [--no-points-to] [--max-clause-len N]
 
 Exit codes: 0 no violations, 1 violations found (or a corpus expectation
 failed), 2 usage or input errors.
@@ -138,22 +138,24 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_options(p: argparse.ArgumentParser) -> None:
+        """The checker's options, which both commands take."""
         p.add_argument("--class-scope", action="store_true", help="one grammar per client class instead of per thread")
         p.add_argument("--no-points-to", action="store_true", help="treat every receiver as every module instance")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--dump-grammar", action="store_true")
-        p.add_argument("--dump-trees", action="store_true")
-        p.add_argument("--dump-table", action="store_true")
         p.add_argument("--max-clause-len", type=_word_length, default=MAX_CLAUSE_LEN, metavar="N")
 
     p_check = sub.add_parser("check", help="analyze one or more programs")
     p_check.add_argument("files", nargs="+", metavar="FILE")
-    add_common(p_check)
+    add_options(p_check)
+    # what a check prints: the corpus runner prints one line per pair instead
+    p_check.add_argument("--format", choices=["text", "json"], default="text")
+    p_check.add_argument("--dump-grammar", action="store_true")
+    p_check.add_argument("--dump-trees", action="store_true")
+    p_check.add_argument("--dump-table", action="store_true")
 
     p_corpus = sub.add_parser("corpus", help="run bad/fixed program pairs")
     p_corpus.add_argument("dir", metavar="DIR")
-    add_common(p_corpus)
+    add_options(p_corpus)
     return parser
 
 

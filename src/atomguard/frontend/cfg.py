@@ -87,6 +87,12 @@ class _Builder:
         Exits are node indexes whose successor list still needs the index of
         whatever comes next.
         """
+        if stmt.__class__ is ExprStmt:  # the commonest statement, a call
+            call = stmt.call
+            index = len(self.nodes)
+            kind = NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
+            self.nodes.append(CfgNode(index, kind, stmt.line, [], call, None, stmt))
+            return index, [index]
         if isinstance(stmt, Block):
             return self.lower_seq(stmt.stmts)
         if isinstance(stmt, Return):
@@ -118,7 +124,7 @@ class _Builder:
             for e in b_exits:
                 self._wire(e, node.index)
             return node.index, [node.index]
-        if isinstance(stmt, (Assign, ExprStmt, Increment)):
+        if isinstance(stmt, (Assign, Increment)):
             node = self.stmt_node(stmt)
             return node.index, [node.index]
         raise TypeError(f"not a statement: {stmt!r}")
@@ -129,6 +135,7 @@ class _Builder:
             succ.append(target)
 
     def lower_seq(self, stmts: list[Stmt]) -> tuple[Optional[int], list[int]]:
+        nodes = self.nodes
         entry: Optional[int] = None
         exits: list[int] = []
         for s in stmts:
@@ -138,7 +145,9 @@ class _Builder:
             if entry is None:
                 entry = s_entry
             for e in exits:
-                self._wire(e, s_entry)
+                succ = nodes[e].succ
+                if s_entry not in succ:
+                    succ.append(s_entry)
             exits = s_exits
         return entry, exits
 

@@ -122,6 +122,21 @@ def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
     reduce_mid: list[tuple[tuple[Production, int, int], ...]] = []
     reduce_end: list[tuple[tuple[Production, int, int], ...]] = []
     for pos, kernel in enumerate(kernels):  # `kernels` grows as states are found
+        if len(kernel) == 1:
+            ((pi, dot),) = kernel
+            if dot < lengths[pi] and bodies[pi][dot] in terminals:
+                # One item before a terminal, as after each call of a long
+                # thread: the state predicts nothing and has one move.
+                states.append(kernel)
+                target = frozenset(((pi, dot + 1),))
+                t = index.get(target)
+                if t is None:
+                    t = index[target] = len(kernels)
+                    kernels.append(target)
+                goto[(pos, bodies[pi][dot])] = t
+                reduce_mid.append(())
+                reduce_end.append(((prods[pi], pi, dot),) if dot else ())
+                continue
         moves: dict[str, list[_Item]] = {}
         complete: list[int] = []
         partial: list[tuple[Production, int, int]] = []

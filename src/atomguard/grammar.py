@@ -187,26 +187,32 @@ def _shared_lowering() -> Iterator[None]:
 def _lower(program: Program, method: MethodDecl) -> _Lowered:
     name = method.name
     cfg_nodes = build_cfg(method).nodes
-    syms = [_node_symbol(name, i) for i in range(len(cfg_nodes))]
+    syms = [f"{name}.{i}" for i in range(len(cfg_nodes))]  # as `_node_symbol` names them
     file = program.source_name
     nodes = []
     for node in cfg_nodes:
         sym = syms[node.index]
         call = node.call
+        succ = node.succ
         if call is None:
             if node.kind is NodeKind.RETURN:
                 skips = (Production(sym, (), ()),)
+            elif len(succ) == 1:
+                skips = (Production(sym, (syms[succ[0]],), (None,)),)
             else:
-                skips = tuple([Production(sym, (syms[s],), (None,)) for s in node.succ])
+                skips = tuple([Production(sym, (syms[s],), (None,)) for s in succ])
             nodes.append(_LoweredNode(None, (), skips))
             continue
         if call.receiver is None:  # client call
             first, cs = _method_symbol(call.method), None
         else:
             first = call.method
-            args = tuple([expr_text(a) for a in call.args])
+            args = tuple([expr_text(a) for a in call.args]) if call.args else ()
             cs = CallSite(sym, first, file, call.line, call.receiver, args, node.result_var)
-        calls = tuple([Production(sym, (first, syms[s]), (cs, None)) for s in node.succ])
+        if len(succ) == 1:
+            calls = (Production(sym, (first, syms[succ[0]]), (cs, None)),)
+        else:
+            calls = tuple([Production(sym, (first, syms[s]), (cs, None)) for s in succ])
         nodes.append(_LoweredNode(call, calls, None))
     return Production(_method_symbol(name), (syms[0],), (None,)), tuple(nodes)
 
@@ -487,30 +493,40 @@ def _expand(
         sym = todo.pop()
         site = todo_sites.pop()
         rule = inline.get(sym)
-        if rule is None:
+        while rule is not None:
+            done = memo.get(sym)
+            if done is _UNDER_WAY:
+                raise AtomguardError(
+                    f"grammar node {sym!r} has a single rule and derives itself"
+                    " through single-rule nodes only, so it derives no finite word"
+                )
+            if done is not None:
+                out_body += done[0]
+                out_sites += done[1]
+                break
+            if sym in shared:
+                memo[sym] = _UNDER_WAY
+                todo.append(_END)
+                todo_sites.append((sym, len(out_body)))
+            body = rule.body
+            if len(body) == 2 and body[0] not in inline:
+                # `n -> h succ`, a call node's rule: emit h, go on with succ
+                out_body.append(body[0])
+                out_sites.append(rule.sites[0])
+                sym = body[1]
+                site = rule.sites[1]
+                rule = inline.get(sym)
+                continue
+            todo += body[::-1]
+            todo_sites += rule.sites[::-1]
+            break
+        else:
             if sym is _END:  # site holds the head and where its expansion starts
                 head, at = site
                 memo[head] = (out_body[at:], out_sites[at:])
             else:
                 out_body.append(sym)
                 out_sites.append(site)
-            continue
-        done = memo.get(sym)
-        if done is None:
-            if sym in shared:
-                memo[sym] = _UNDER_WAY
-                todo.append(_END)
-                todo_sites.append((sym, len(out_body)))
-            todo += rule.body[::-1]
-            todo_sites += rule.sites[::-1]
-        elif done is _UNDER_WAY:
-            raise AtomguardError(
-                f"grammar node {sym!r} has a single rule and derives itself"
-                " through single-rule nodes only, so it derives no finite word"
-            )
-        else:
-            out_body += done[0]
-            out_sites += done[1]
     return out_body, out_sites
 
 

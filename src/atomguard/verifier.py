@@ -10,7 +10,6 @@ into violations.  `verify_with_stats` composes them; the CLI dumps read them.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .contracts import MAX_CLAUSE_LEN, CallSequence, Clause, expand_clause, parse_contract
@@ -405,6 +404,8 @@ def render_report(
     color: bool = False,
 ) -> str:
     if fmt == "json":
+        import json  # only here: `import atomguard.cli` stays without it
+
         payload = {
             "violations": [
                 {
@@ -434,23 +435,18 @@ def render_report(
     if not violations:
         ok = "OK: contract respected"
         return (GREEN + ok + RESET if color else ok) + "\n"
-    lines: list[str] = []
+    red, reset = (RED, RESET) if color else ("", "")
+    blocks: list[str] = []
     for i, v in enumerate(violations, 1):
-        head = f"VIOLATION {i}"
-        lines.append(RED + head + RESET if color else head)
-        lines.append(f'  clause:  "{v.clause}"')
-        lines.append(f"  word:    {' '.join(v.word)}")
-        lines.append(f"  thread:  {v.thread}")
-        if v.site is not None:
-            lines.append(f"  site:    {v.site}")
-        lines.append("  calls:")
+        site = "" if v.site is None else f"  site:    {v.site}\n"
+        calls = ""
         for c in v.calls:
-            lines.append(f"    {c.file}:{c.line}  {c.method}")
-        lines.append(
+            calls += f"    {c.file}:{c.line}  {c.method}\n"
+        blocks.append(
+            f'{red}VIOLATION {i}{reset}\n  clause:  "{v.clause}"\n'
+            f"  word:    {' '.join(v.word)}\n  thread:  {v.thread}\n{site}  calls:\n{calls}"
             f"  lowest common ancestor: {v.lca_symbol} in method {v.lca_method}"
-            " (not atomically executed)"
+            f" (not atomically executed)\n  suggestion: {v.suggestion}\n\n"
         )
-        lines.append(f"  suggestion: {v.suggestion}")
-        lines.append("")
-    lines.append(f"{len(violations)} violation(s)")
-    return "\n".join(lines) + "\n"
+    blocks.append(f"{len(violations)} violation(s)\n")
+    return "".join(blocks)

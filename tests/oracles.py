@@ -6,8 +6,8 @@ expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, bounded grammar
 languages by a fixpoint over word sets, and structural checks on parse
 trees.  It also keeps the original character-at-a-time tokenizer, the
-original parser with its statement-walking resolver, the original
-per-grammar CFG walk, the original quadratic grammar simplification, the
+original parser with its statement-walking resolver, a recursive
+statement walk for control-flow graphs, the original per-grammar CFG walk, the original quadratic grammar simplification, the
 original three-walk points-to analysis, the original item-by-item LR(0)
 construction and the original subword search as the references the
 pipeline's versions must reproduce.
@@ -34,7 +34,7 @@ from atomguard import (
     SourceSyntaxError,
     UnresolvedMethodError,
 )
-from atomguard.frontend.cfg import NodeKind, build_cfg
+from atomguard.frontend.cfg import NodeKind
 from atomguard.frontend.lexer import KEYWORDS, PUNCT, Token, tokenize
 from atomguard.frontend.parser import MAX_NESTING, iter_method_statements, statement_call
 from atomguard.frontend.syntax import (
@@ -369,6 +369,105 @@ def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
 
 
 # ---------------------------------------------------------------------------
+# Control-flow graphs, by a recursive statement walk
+
+
+@dataclass
+class ReferenceCfgNode:
+    index: int
+    kind: NodeKind
+    line: int
+    call: Optional[Call]
+    result_var: Optional[str]
+    stmt: Optional[Stmt]
+    succ: list[int] = field(default_factory=list)
+
+
+def _reference_stmt_call(stmt: Stmt) -> Optional[Call]:
+    if isinstance(stmt, ExprStmt):
+        return stmt.call
+    if isinstance(stmt, Assign):
+        value = stmt.value
+    elif isinstance(stmt, (If, While)):
+        value = stmt.cond
+    else:
+        return None
+    return value if isinstance(value, Call) else None
+
+
+def reference_build_cfg(method: MethodDecl) -> list[ReferenceCfgNode]:
+    """The nodes `build_cfg(method)` must give, from a recursive walk of the
+    statements: nodes numbered in the order the walk meets them (the entry
+    first, then each statement before the ones inside it, then the implicit
+    return), and each node's successors in the order the walk makes its
+    edges, without repeats."""
+    nodes: list[ReferenceCfgNode] = []
+    edges: list[tuple[int, int]] = []
+
+    def node(kind: NodeKind, line: int, stmt: Optional[Stmt] = None) -> int:
+        call = result = None
+        if stmt is not None and kind is NodeKind.OTHER:
+            call = _reference_stmt_call(stmt)
+            if call is not None:
+                kind = NodeKind.CLIENT_CALL if call.receiver is None else NodeKind.MODULE_CALL
+                if isinstance(stmt, Assign):
+                    result = stmt.target
+        nodes.append(ReferenceCfgNode(len(nodes), kind, line, call, result, stmt))
+        return len(nodes) - 1
+
+    def walk(stmt: Stmt) -> tuple[Optional[int], list[int]]:
+        """(the statement's first node, None for an empty block; the nodes
+        that fall through to whatever follows it)"""
+        if isinstance(stmt, Block):
+            return walk_all(stmt.stmts)
+        if isinstance(stmt, Return):
+            return node(NodeKind.RETURN, stmt.line, stmt), []
+        n = node(NodeKind.OTHER, stmt.line, stmt)
+        if isinstance(stmt, If):
+            falls: list[int] = []
+            for branch in (stmt.then, stmt.orelse):
+                first, exits = (None, []) if branch is None else walk(branch)
+                if first is None:
+                    falls.append(n)
+                else:
+                    edges.append((n, first))
+                    falls += exits
+            return n, falls
+        if isinstance(stmt, While):
+            first, exits = walk(stmt.body)
+            edges.append((n, n if first is None else first))
+            edges.extend((e, n) for e in exits)
+        return n, [n]
+
+    def walk_all(stmts: list[Stmt]) -> tuple[Optional[int], list[int]]:
+        start: Optional[int] = None
+        falls: list[int] = []
+        for stmt in stmts:
+            first, exits = walk(stmt)
+            if first is None:
+                continue
+            if start is None:
+                start = first
+            edges.extend((e, first) for e in falls)
+            falls = exits
+        return start, falls
+
+    entry = node(NodeKind.ENTRY, method.line)
+    first, exits = walk_all(method.body.stmts)
+    if first is None:
+        edges.append((entry, node(NodeKind.RETURN, method.line)))
+    else:
+        edges.append((entry, first))
+        if exits:
+            end = node(NodeKind.RETURN, method.line)
+            edges.extend((e, end) for e in exits)
+    for a, b in edges:
+        if b not in nodes[a].succ:
+            nodes[a].succ.append(b)
+    return nodes
+
+
+# ---------------------------------------------------------------------------
 # Grammar building, one CFG walk per grammar
 
 
@@ -383,11 +482,12 @@ def reference_build(
     label: str,
 ) -> BehaviorGrammar:
     """The grammar `atomguard.grammar._build` must produce for these
-    arguments: walks every reachable method's CFG and builds each production
+    arguments: walks every reachable method's CFG, as `reference_build_cfg`
+    builds it, and builds each production
     and `CallSite` anew, deciding call, skip or both at each module call."""
     module_method_names = {m.name for m in module.methods}
     reach = _reachable_methods(program, [m.name for m in roots], scope)
-    cfgs = {name: build_cfg(program.client_methods[name]) for name in reach}
+    cfgs = {name: reference_build_cfg(program.client_methods[name]) for name in reach}
 
     prods: list[Production] = []
     if start.startswith(SCOPE_START_PREFIX):
@@ -395,9 +495,8 @@ def reference_build(
             prods.append(Production(start, (_method_symbol(m.name),)))
 
     for name in reach:
-        cfg = cfgs[name]
         prods.append(Production(_method_symbol(name), (_node_symbol(name, 0),)))
-        for node in cfg.nodes:
+        for node in cfgs[name]:
             sym = _node_symbol(name, node.index)
             succs = [_node_symbol(name, s) for s in node.succ]
             if node.kind is NodeKind.RETURN:

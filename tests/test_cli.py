@@ -736,6 +736,26 @@ def test_corpus_command_line(capsys):
     assert "15 pairs, 0 failing" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag", [["--format", "json"], ["--format", "text"], ["--dump-grammar"], ["--dump-trees"],
+             ["--dump-table"]], ids=" ".join,
+)
+def test_corpus_rejects_the_flags_it_does_not_use(flag, capsys):
+    # the corpus runner prints one line per pair, whatever a check would print
+    assert run(["corpus", str(CORPUS), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--class-scope"], ["--no-points-to"], ["--max-clause-len", "4"]], ids=" ".join
+)
+def test_corpus_takes_the_checker_options(flags, capsys):
+    assert run(["corpus", str(CORPUS), *flags]) == 0
+    assert capsys.readouterr().out.endswith("\n15 pairs, 0 failing\n")
+
+
 # ---------------------------------------------------------------------------
 # stability
 

@@ -23,7 +23,12 @@ from atomguard.frontend.lexer import KEYWORDS, PUNCT
 from atomguard.frontend.syntax import Block, If, Return, While
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
-from oracles import oracle_atomically_executed, reference_parse_program, reference_tokenize
+from oracles import (
+    oracle_atomically_executed,
+    reference_build_cfg,
+    reference_parse_program,
+    reference_tokenize,
+)
 
 MODULE = 'class M contract { "a b" } {\n  void a() { }\n  void b() { }\n}\n'
 
@@ -329,6 +334,57 @@ def test_cfg_result_variable_recorded():
     cfg = build_cfg(prog.client_methods["f"])
     call_node = next(n for n in cfg.nodes if n.kind is NodeKind.MODULE_CALL)
     assert call_node.result_var == "x"
+
+
+def assert_cfg_like_reference(method) -> int:
+    """`build_cfg` gives the reference's nodes, field by field; returns how
+    many nodes were compared."""
+    got = build_cfg(method).nodes
+    want = reference_build_cfg(method)
+    assert len(got) == len(want), method.name
+    for g, w in zip(got, want):
+        assert (g.index, g.kind, g.line, g.succ, g.result_var) == (
+            w.index, w.kind, w.line, w.succ, w.result_var
+        ), (method.name, g.index)
+        assert g.call is w.call and g.stmt is w.stmt, (method.name, g.index)
+    return len(got)
+
+
+def test_cfg_matches_reference_on_bundled_programs():
+    paths = sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))
+    assert len(paths) == 37
+    nodes = 0
+    for path in paths:
+        for method in parse_program(path.read_text(), path.name).client_methods.values():
+            nodes += assert_cfg_like_reference(method)
+    assert nodes > 300
+
+
+@pytest.mark.parametrize("body", [
+    "if (cond) { } m.a();",  # both ways out of the branch reach the call: one edge
+    "if (cond) { } else { } m.a();",
+    "if (m.a()) { { } } else { m.b(); } m.a();",
+    "while (cond) { } m.b();",
+    "while (m.a()) { if (cond) { } } m.b();",
+    "if (cond) { return; } else { m.a(); } m.b();",
+    "m.a(); return; m.b(); if (cond) { m.a(); }",
+    "var x = m.a(); x = 1; x++; f(); m.b();",
+    "{ } { { } }",
+    "",
+])
+def test_cfg_matches_reference_on_edge_cases(body):
+    prog = parse_program(client(f"  void f() {{ }}\n  thread void t() {{ {body} }}"), "t.mg")
+    assert assert_cfg_like_reference(prog.client_methods["t"]) >= 2
+
+
+def test_cfg_matches_reference_on_generated_programs():
+    kinds = set()
+    for seed in range(200):
+        text, _ = random_program(random.Random(seed))
+        for method in parse_program(text, f"seed{seed}.mg").client_methods.values():
+            assert_cfg_like_reference(method)
+            kinds |= {(type(n.stmt), n.kind) for n in build_cfg(method).nodes}
+    assert len(kinds) >= 8, "calls, plain statements, branches, loops and returns"
 
 
 # ---------------------------------------------------------------------------

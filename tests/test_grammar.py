@@ -285,6 +285,30 @@ def test_simplify_matches_reference_on_bundled_programs():
     assert count > 100
 
 
+@pytest.mark.parametrize("flags", [(), ("--class-scope",), ("--no-points-to",)],
+                         ids=["default", "class-scope", "no-points-to"])
+def test_simplify_matches_reference_on_bench_families(flags):
+    # long straight runs of calls, where most inlined rules are a call
+    # node's `n -> h succ`; each task's raw grammar, restricted to its site
+    # where it carries its unit's base, and each base
+    options = {"class_scope": "--class-scope" in flags, "points_to": "--no-points-to" not in flags}
+    rng = random.Random(7)
+    cases = [families.straight(rng, n, flags) for n in (1, 10, 30)]
+    cases += [families.chain(rng, d, flags) for d in (1, 5, 12)]
+    cases += [families.sites(rng, s, flags) for s in (1, 3, 5)]
+    compared = 0
+    for case in cases:
+        prog = parse_program(case.text, f"{case.name}.mg")
+        for task in grammar_stage(prog, **options):
+            grammars = [task.grammar]
+            if task.drop is not None:
+                grammars.append(site_restrictor(task.grammar, task.drop.tracked)(task.drop.own))
+            for grammar in grammars:
+                assert_simplifies_like_reference(grammar)
+                compared += 1
+    assert compared >= len(cases)
+
+
 def test_simplify_rejects_a_cycle_of_single_rule_nodes():
     # The reference, inlining X first, keeps Y with a rule that derives no
     # finite word; the one pass names X, where the start enters the cycle.

@@ -110,12 +110,13 @@ def test_readme_api_snippets_run():
     assert namespace["stats"].grammars == len(namespace["checks"]) == len(namespace["tasks"])
 
 
-def test_the_command_line_imports_no_reflection_modules():
+def test_the_command_line_imports_no_reflection_or_json_modules():
     """`dataclasses` alone would bring `inspect`, `ast` and `dis` with it,
-    about half of a check's start-up; a count, so it cannot flake."""
+    about half of a check's start-up, and `json` is only for `--format
+    json`; a count, so it cannot flake."""
     code = (
         "import atomguard.cli, sys; "
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])"
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'json') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(

@@ -267,14 +267,18 @@ def test_same_shape_sites_hold_the_first_sites_trees():
     assert len(further) == 2 and all(c.table is first.table for c in further)
 
 
-def report_bytes(text: str, flags: list[str], tmp_path, monkeypatch, capsys) -> bytes:
-    """Exit code and stdout of every dump plus the JSON report, run on the
-    program saved as `prog.mg` in the working directory."""
+DUMPS = ["--dump-grammar", "--dump-table", "--dump-trees", "--format", "json"]
+
+
+def report_bytes(text: str, flags: list[str], tmp_path, monkeypatch, capsys,
+                 argv: list[str] = DUMPS, color: str = "0") -> bytes:
+    """Exit code and stdout of `atomguard check` with `argv` (by default
+    every dump plus the JSON report), run on the program saved as `prog.mg`
+    in the working directory, with `ATOMGUARD_COLOR` set to `color`."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("ATOMGUARD_COLOR", "0")
+    monkeypatch.setenv("ATOMGUARD_COLOR", color)
     (tmp_path / "prog.mg").write_text(text)
-    argv = ["check", "--dump-grammar", "--dump-table", "--dump-trees", "--format", "json"]
-    code = run([*argv, *flags, "prog.mg"])
+    code = run(["check", *argv, *flags, "prog.mg"])
     return b"%d\n" % code + capsys.readouterr().out.encode()
 
 
@@ -315,3 +319,24 @@ def test_generated_programs_report_frozen_bytes(flags, tmp_path, monkeypatch, ca
     for _, text in seeded_programs():
         digest.update(report_bytes(text, FLAG_SETS[flags], tmp_path, monkeypatch, capsys))
     assert digest.hexdigest() == FROZEN["generated", flags]
+
+
+# sha256 of the generated programs' plain text reports (no dump), hashed one
+# after the other, frozen before the text report was built one string per
+# violation; keyed by flag set and `ATOMGUARD_COLOR`
+FROZEN_TEXT = {
+    ("default", "0"): "d53a17709934d4f8c325b542c91f771b847d278ea2601ecd37f4223e7f702667",
+    ("class-scope", "0"): "e572253d5e6fc34f29dc61c6c72424ad51b459f446192022dd3b0759dd33f58e",
+    ("no-points-to", "0"): "16624f66021f86e40e0d6e8c8598f05008c7f04bd3be5a1381763700ba927437",
+    ("default", "1"): "c836b3ff9b0a800ad11a811da76260b263476c4ad75dc312223e1a42eca12035",
+    ("class-scope", "1"): "13763b9ca20239b674c5ea5684347fef3c935228939b26f369192dd6048e0409",
+    ("no-points-to", "1"): "b9e4e5a9e51793317de2f524ffc878814d95f31729b5b6654bbf136a27bfaff1",
+}
+
+
+@pytest.mark.parametrize(("flags", "color"), FROZEN_TEXT, ids="-color=".join)
+def test_generated_programs_text_report_frozen_bytes(flags, color, tmp_path, monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for _, text in seeded_programs():
+        digest.update(report_bytes(text, FLAG_SETS[flags], tmp_path, monkeypatch, capsys, [], color))
+    assert digest.hexdigest() == FROZEN_TEXT[flags, color]
