@@ -12,6 +12,13 @@ Calls may appear only as a whole statement, as the direct right-hand side
 of an assignment, or as the direct condition of `if`/`while`.  That keeps
 every call on its own control-flow node.
 
+The parser reads the scanner's tuples.  A call statement spelled `x.m();`
+comes as one fused `("call", "x", line, column, "m")` tuple (see `lexer`),
+which `statement` turns into the statement in one step.  Anywhere else it
+parses as the six tokens it stands for: `primary` takes it as the call and
+leaves the `;` in its slot, and a bare name or a call nested too deep
+splits it into the six (`_Parser.unfuse`).
+
 Blocks, `if`/`while` bodies, expressions, call argument lists, unary
 operators and each `&&`/`||`, `+`/`-` and `*` of an operator chain nest at
 most MAX_NESTING levels, counted together (a method body is level 1); deeper
@@ -21,7 +28,7 @@ input is a syntax error, not a recursion overflow.
 from __future__ import annotations
 
 from ..errors import DuplicateMethodError, SourceSyntaxError, UnresolvedMethodError
-from .lexer import _Lexeme, _scan
+from .lexer import _Lexeme, _scan, unfuse
 from .syntax import (
     Assign,
     Binary,
@@ -108,8 +115,19 @@ class _Parser:
         if t[0] == kind and (text is None or t[1] == text):
             self.pos += 1
             return t
+        if t[0] == "call" and kind == "ident":  # a name: the call's receiver
+            self.unfuse()
+            return self.expect(kind, text)
         want = text if text is not None else kind
         raise self.error(f"expected {want!r}, found {t[1]!r}")
+
+    def unfuse(self) -> _Lexeme:
+        """Put the six tokens of the fused call statement at `pos` in its
+        place, and return the first.  Only a syntax error follows: this is
+        called where the `.` after the receiver is one, or past
+        `MAX_NESTING`, so a parse moves the token list at most once."""
+        self.tokens[self.pos : self.pos + 1] = unfuse(self.tokens[self.pos])
+        return self.tokens[self.pos]
 
     # -- declarations ------------------------------------------------------
 
@@ -166,7 +184,7 @@ class _Parser:
         if not self.at("punct", ")"):
             while True:
                 a = self.expect("ident")[1]
-                if self.at("ident"):
+                if self.at("ident") or self.at("call"):
                     params.append(Param(self.expect("ident")[1], a))
                 else:
                     params.append(Param(a))
@@ -195,7 +213,15 @@ class _Parser:
     def statement(self) -> Stmt:
         t = self.tokens[self.pos]
         self.line = line = t[2]
-        if t[0] == "ident":  # most statements: a call, assignment or increment
+        if t[0] == "call":  # the commonest statement, `x.m();`, in one step
+            if self.depth < MAX_NESTING:  # the argument list's level
+                self.pos += 1
+                call = Call(t[1], t[4], (), line, t[3])
+                self.method_calls.append(call)
+                self.method_flows.append((None, call, line))
+                return ExprStmt(call, line)
+            t = self.unfuse()
+        if t[0] == "ident":  # most other statements: a call, assignment or increment
             self.pos += 1
             name = t[1]
             op = self.tokens[self.pos]
@@ -209,21 +235,8 @@ class _Parser:
                 self.pos += 1
                 self.expect("punct", ";")
                 return Increment(name, line)
-            # The commonest statement, `x.m();`, read in one step.  A token is
-            # looked at only if the one before it matched, so it exists: the
-            # end-of-input token ends the list.
-            tokens = self.tokens
-            pos = self.pos
-            if (op[1] == "." and op[0] == "punct" and tokens[pos + 1][0] == "ident"
-                    and tokens[pos + 2][1] == "(" and tokens[pos + 2][0] == "punct"
-                    and tokens[pos + 3][1] == ")" and tokens[pos + 3][0] == "punct"
-                    and tokens[pos + 4][1] == ";" and tokens[pos + 4][0] == "punct"
-                    and self.depth < MAX_NESTING):  # the argument list's level
-                self.pos = pos + 5
-                call = Call(name, tokens[pos + 1][1], (), line, t[3])
-            else:
-                call = self.call_suffix(name, t)
-                self.expect("punct", ";")
+            call = self.call_suffix(name, t)
+            self.expect("punct", ";")
             self.method_calls.append(call)
             self.method_flows.append((None, call, line))
             return ExprStmt(call, line)
@@ -373,6 +386,13 @@ class _Parser:
             if self.at("punct", "(") or self.at("punct", "."):
                 return self.call_suffix(t[1], t)
             return Name(t[1])
+        if kind == "call":  # `x.m()`, and its statement's `;` left in its slot
+            if self.depth < MAX_NESTING:  # the argument list's level
+                self.tokens[self.pos] = unfuse(t)[-1]
+                return Call(t[1], t[4], (), t[2], t[3])
+            self.unfuse()
+            self.pos += 1
+            return self.call_suffix(t[1], t)  # the nesting error, at the `(`
         if kind == "int":
             self.pos += 1
             try:

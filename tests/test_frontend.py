@@ -19,7 +19,7 @@ from atomguard import (
     verify,
 )
 from atomguard.frontend import NodeKind, build_cfg, tokenize
-from atomguard.frontend.lexer import KEYWORDS, PUNCT
+from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan
 from atomguard.frontend.syntax import Block, If, Return, While
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
@@ -122,6 +122,12 @@ def test_parser_error_on_truncated_input():
 # tokenizing
 
 LEXEMES = sorted(KEYWORDS) + list(PUNCT) + ["x", "_a1", "0", "42", '"a b"', '""', " ", "/"]
+# call statements: fused into one lexeme when spelled exactly `x.m();` with
+# neither name a keyword, and six tokens otherwise
+LEXEMES += [
+    "m.a();", "m .a();", "m.a( );", "mé.a();", "é.a();", "new.a();", "m.if();", "m.a();//c",
+    "m.a();\r",
+]
 # non-ASCII digits, letters and numbers, characters no lexeme starts with,
 # a lone quote, a comment opener and every whitespace character
 EDGE_CHARACTERS = ["²", "½", "é", "一", "٣", "\x0b", "\f", "$", '"', "//", "\r", "\t", "\n"]
@@ -157,10 +163,14 @@ def test_tokenize_matches_reference_on_bundled_and_generated_programs():
         ('x = "' + "s" * 100_000, ("unterminated string", 1, 5)),
         ("x" + "\t\r" * 50_000 + "y", ["x", "y", ""]),
         ("x" + " \t" * 50_000, ["x", ""]),
+        ("m." + "a" * 100_000, ["m", ".", "a" * 100_000, ""]),
+        ("m.a" + "b" * 100_000 + "()", ["m", ".", "a" + "b" * 100_000, "(", ")", ""]),
+        ("m.a();" * 50_000, ["m", ".", "a", "(", ")", ";"] * 50_000 + [""]),
     ],
     ids=[
         "blanks-then-bad-character", "long-comment", "unterminated-string", "tabs-and-crs",
-        "trailing-blanks",
+        "trailing-blanks", "long-method-name", "long-name-before-parentheses",
+        "call-statements",
     ],
 )
 def test_tokenize_is_linear_on_long_runs(source, outcome):
@@ -178,6 +188,17 @@ def test_lexical_rules():
     assert [(t.kind, t.text) for t in tokens] == [
         ("ident", "xé"), ("ident", "_1"), ("int", "٣٣"), ("int", "1²"), ("string", "a // b"),
         ("eof", ""),
+    ]
+    # a call statement is one lexeme, and `tokenize` gives its six tokens
+    tokens = tokenize("  m.a(); x_1.b2();//c", "t.mg")
+    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+        ("ident", "m", 1, 3), ("punct", ".", 1, 4), ("ident", "a", 1, 5), ("punct", "(", 1, 6),
+        ("punct", ")", 1, 7), ("punct", ";", 1, 8), ("ident", "x_1", 1, 10),
+        ("punct", ".", 1, 13), ("ident", "b2", 1, 14), ("punct", "(", 1, 16),
+        ("punct", ")", 1, 17), ("punct", ";", 1, 18), ("eof", "", 1, 19),
+    ]
+    assert _scan("  m.a(); x_1.b2();//c", "t.mg") == [
+        ("call", "m", 1, 3, "a"), ("call", "x_1", 1, 10, "b2"), ("eof", "", 1, 19),
     ]
     assert lex_outcome(tokenize, "x\x0by")[0] == "t.mg:1:2: unexpected character '\\x0b'"
     assert lex_outcome(tokenize, "x ½")[0] == "t.mg:1:3: unexpected character '½'"
@@ -224,10 +245,14 @@ STATEMENTS = [
     "m = new M();", "m.a();", "m.b();", "g(m);", "g();", "g(m, m);", "h();", "a();", "m.h();",
     "x = new Z();", "x = g(new Z());", "if (m.b()) {", "while (cond) {", "}", "var y = 1 + 2;",
     "return;", "x = cond ? new M() : m;",
+    # a fused call statement where an expression or a bare name goes
+    "y = m.a();", "return m.a();", "g(m.a());", "var m.a();", "x = new m.a();",
 ]
 METHODS = [
     "void g(M p) { }", "thread void f() { m.a(); }", "void h() { }", "atomic void a() { }",
     "}\nclass C {", "}\nclass D {", "}\nclass M {", "void t() { x = new Z(); }",
+    # a fused call statement as a type, method, class or parameter name
+    "m.a();", "void m.a();", "}\nclass m.a();", "void f(M m.a();", "void f(m.a();",
 ]
 
 
@@ -253,9 +278,9 @@ def test_parse_matches_reference_on_token_soups(statements, methods):
 
 def test_parse_matches_reference_on_one_token_mutations():
     # every token deleted, and a token drawn from SOUP inserted before it
-    # and put in its place
+    # and put in its place; the straight-line program is mostly `x.m();` lines
     rng = random.Random(13)
-    for path in sorted(CORPUS.glob("*.mg")):
+    for path in sorted(CORPUS.glob("*.mg")) + [PROGRAMS / "straight_line.mg"]:
         source = path.read_text()
         starts = [0]
         for line in source.splitlines(keepends=True):
@@ -273,7 +298,8 @@ def test_parse_matches_reference_on_one_token_mutations():
 def test_call_statements_at_the_nesting_limit_parse_like_reference(depth):
     # a call's argument list opens a level of its own, whichever way the
     # parser reads the statement
-    for stmt in ("m.a();", "m.a(1);", "m.a()", "m.a(;", "m.;", "m . a ( ) ;", "a();"):
+    stmts = ("m.a();", "m.a(1);", "m.a()", "m.a(;", "m.;", "m . a ( ) ;", "a();", "y = m.a();")
+    for stmt in stmts:
         body = "{" * depth + stmt + "}" * depth
         assert_parses_like_reference(client(f"  void a() {{ }}\n  thread void t() {{\n{body}\n  }}"))
 
