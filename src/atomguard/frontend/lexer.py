@@ -9,9 +9,11 @@ non-ASCII character (or an integer followed by one), an unterminated string
 or a stray character is scanned a character at a time.
 
 A call statement spelled exactly `x.m();` (no blanks or comments inside,
-neither name a keyword) is one lexeme and one fused tuple
+neither name a keyword) is one lexeme, with the newline and blanks before
+it when it starts its line, and one fused tuple
 `("call", "x", line, column, "m")`, which the parser takes in one step;
 `unfuse` gives the six tokens it stands for, and `tokenize` gives those.
+Any other newline lexeme takes the next line's blanks with it.
 """
 
 from __future__ import annotations
@@ -78,24 +80,25 @@ class Token(Record):
 
 # One alternative per lexeme, each after a run of blanks, and a last one for
 # any other character but a newline, so that the matches cover the source
-# (less its trailing blanks, where `_scan` stops) without gaps.  Each holds
-# at most one run of a single character class, and nothing after the run
-# can fail (a string's closing quote is optional), with one exception: an
-# identifier may go on into a whole call statement `x.m();`, a second run
-# (the method name) and then `();`.  Where that tail fails, the engine gives
-# the method name back one character at a time, each step failing at once
-# (a `\w` is no `(`), and settles on the bare identifier; nothing else
-# backtracks, so a match costs time linear in its length.  Python 3.10's
-# `re` has no possessive quantifier or atomic group to avoid even that.  The
-# tail is written `(?:...|)`: the same match as `(?:...)?`, and faster in
-# CPython's `re`.  `\w` is exactly `isalnum()` or `_`.  An integer takes the
-# non-ASCII character after it, if there is one, so that the per-character
-# branch can finish it: `isdigit()` accepts more than `[0-9]` and `\d` do
-# (`²`).  The pattern has no groups: `findall` gives each lexeme as one
-# string, blanks before it included.
+# (less its trailing blanks, where `_scan` stops) without gaps.  A newline
+# takes the next line's blanks with it and, when the line goes on with a
+# call statement `x.m();`, that too; an identifier may go on into `.m();`.
+# Each alternative holds at most one run of a single character class, and
+# nothing after the run can fail (a string's closing quote is optional),
+# except such a call tail: where it fails, the engine gives its name runs
+# back one character at a time, each step failing at once (a `\w` is no
+# `.` or `(`), so a match still costs time linear in its length
+# (Python 3.10's `re` has no possessive quantifier or atomic group to avoid
+# even that).  A tail is written `(?:...|)`: the same match as `(?:...)?`,
+# and faster in CPython's `re`.  `\w` is exactly `isalnum()` or `_`.  An
+# integer takes the non-ASCII character after it, if there is one, so that
+# the per-character branch can finish it: `isdigit()` accepts more than
+# `[0-9]` and `\d` do (`²`).  The pattern has no groups: `findall` gives each
+# lexeme as one string, blanks before it included.
 _BLANKS = " \t\r"
+_CALL = r"\.[A-Za-z_]\w*\(\);"  # a call statement's tail after its receiver
 _LEXEME = re.compile(
-    r"[ \t\r]*(?:\n|//[^\n]*|[A-Za-z_]\w*(?:\.[A-Za-z_]\w*\(\);|)|"
+    rf"[ \t\r]*(?:\n[ \t\r]*(?:[A-Za-z_]\w*{_CALL}|)|//[^\n]*|[A-Za-z_]\w*(?:{_CALL}|)|"
     + "|".join(map(re.escape, PUNCT))
     + r'|"[^"\n]*"?|[0-9]+[^\x00-\x7f]?|.)'
 )
@@ -107,6 +110,7 @@ _STARTS = {
     **dict.fromkeys("0123456789", "int"),
     '"': "string",
     "/": "comment",
+    "\n": "newline",
 }
 _AS_IS = frozenset({"ident", "punct", "kw"})
 
@@ -134,9 +138,11 @@ def _scan(source: str, filename: str) -> list[_Lexeme]:
     """The tokens of `source` as plain tuples, ending with the `eof` one."""
     tokens: list[_Lexeme] = []
     append = tokens.append
-    # grows by each identifier and call statement seen: a repeated one is one lookup
+    # grows by each identifier, newline and call statement lexeme seen: a
+    # repeated one is one lookup
     kinds = dict(_KINDS)
-    calls: dict[str, tuple[str, str]] = {}  # a call statement's receiver and method
+    # a call statement lexeme's receiver, method and, after a newline, column
+    calls: dict[str, tuple[str, str, int]] = {}
     n = len(source.rstrip(_BLANKS))  # trailing blanks hold no lexeme
     line = 1
     line_start = 0  # offset of the first character of `line`
@@ -153,23 +159,32 @@ def _scan(source: str, filename: str) -> list[_Lexeme]:
             kind = kinds.get(text)
             if kind is None:
                 kind = _STARTS.get(text[0])
-                if kind == "ident":
-                    if text[-1] == ";":  # a call statement `x.m();`
-                        dot = text.index(".")
-                        receiver, method = text[:dot], text[dot + 1 : -3]
-                        if receiver in KEYWORDS or method in KEYWORDS:  # its six tokens
-                            tokens += unfuse(("call", receiver, line, i - line_start + 1, method))
-                            continue
-                        kind = "call"
-                        calls[text] = receiver, method
-                    kinds[text] = kind
+                if text[-1] == ";" and (kind == "ident" or kind == "newline"):  # `x.m();`
+                    stmt = text.lstrip("\n" + _BLANKS)
+                    dot = stmt.index(".")
+                    receiver, method = stmt[:dot], stmt[dot + 1 : -3]
+                    if receiver in KEYWORDS or method in KEYWORDS:  # its six tokens
+                        if kind == "newline":
+                            line += 1
+                            line_start = i + 1
+                        column = end - len(stmt) - line_start + 1
+                        tokens += unfuse(("call", receiver, line, column, method))
+                        continue
+                    kind = "call" if kind == "ident" else "line call"
+                    calls[text] = receiver, method, len(text) - len(stmt)
+                kinds[text] = kind
             if kind in _AS_IS:
                 append((kind, text, line, i - line_start + 1))
-            elif kind == "newline":
+            elif kind == "line call":  # a newline, the next line's blanks and its call
                 line += 1
-                line_start = end
+                line_start = i + 1
+                receiver, method, column = calls[text]
+                append(("call", receiver, line, column, method))
+            elif kind == "newline":  # and the next line's blanks
+                line += 1
+                line_start = i + 1
             elif kind == "call":
-                receiver, method = calls[text]
+                receiver, method, _ = calls[text]
                 append(("call", receiver, line, i - line_start + 1, method))
             elif kind == "int" and text[-1] <= "9":
                 append(("int", text, line, i - line_start + 1))

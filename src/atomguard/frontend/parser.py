@@ -14,7 +14,8 @@ every call on its own control-flow node.
 
 The parser reads the scanner's tuples.  A call statement spelled `x.m();`
 comes as one fused `("call", "x", line, column, "m")` tuple (see `lexer`),
-which `statement` turns into the statement in one step.  Anywhere else it
+which `call_statement` turns into the statement in one step: a block's loop
+calls it for such a tuple directly, `statement` elsewhere.  Anywhere else it
 parses as the six tokens it stands for: `primary` takes it as the call and
 leaves the `;` in its slot, and a bare name or a call nested too deep
 splits it into the six (`_Parser.unfuse`).
@@ -205,21 +206,36 @@ class _Parser:
         self.nest()
         self.expect("punct", "{")
         stmts: list[Stmt] = []
-        while not self.accept("punct", "}"):
-            stmts.append(self.statement())
+        tokens = self.tokens
+        # a fused call statement in one step, if a call's argument list has room
+        call_statement = self.call_statement if self.depth < MAX_NESTING else None
+        while True:
+            t = tokens[self.pos]
+            if t[0] == "call" and call_statement:
+                stmts.append(call_statement(t))
+            elif t[0] == "punct" and t[1] == "}":
+                break
+            else:
+                stmts.append(self.statement())
+        self.pos += 1
         self.depth -= 1
         return Block(stmts)
+
+    def call_statement(self, t: _Lexeme) -> ExprStmt:
+        """The commonest statement, `x.m();`, from its fused tuple `t` at `pos`."""
+        self.pos += 1
+        line = t[2]
+        call = Call(t[1], t[4], (), line, t[3])
+        self.method_calls.append(call)
+        self.method_flows.append((None, call, line))
+        return ExprStmt(call, line)
 
     def statement(self) -> Stmt:
         t = self.tokens[self.pos]
         self.line = line = t[2]
-        if t[0] == "call":  # the commonest statement, `x.m();`, in one step
+        if t[0] == "call":
             if self.depth < MAX_NESTING:  # the argument list's level
-                self.pos += 1
-                call = Call(t[1], t[4], (), line, t[3])
-                self.method_calls.append(call)
-                self.method_flows.append((None, call, line))
-                return ExprStmt(call, line)
+                return self.call_statement(t)
             t = self.unfuse()
         if t[0] == "ident":  # most other statements: a call, assignment or increment
             self.pos += 1

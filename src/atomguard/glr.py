@@ -20,7 +20,8 @@ so the trees of one search serve every grammar of the same shape, and
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
@@ -276,34 +277,46 @@ def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:
             key = ("t", node.symbol)
             node._key = interned.setdefault(key, key)
             continue
-        child_keys = tuple([ch._key for ch in children])
-        entry = (node.production, node.elided_left, node.elided_right, *map(id, child_keys))
-        key = interned.get(entry)
-        if key is None:
-            key = interned[entry] = ("n", node.production, node.elided_left, node.elided_right, child_keys)
-        node._key = key
+        node._key = _node_key(node, tuple([ch._key for ch in children]), interned)
 
 
-def _sited_children(node: ParseTree, production: Production):
-    """The node's children, last first, each with the call site at its body
-    position in the node's production."""
-    at = node.elided_left
-    sites = production.sites[at:at + len(node.children)]
-    return zip(reversed(node.children), reversed(sites))
+def _node_key(node: ParseTree, child_keys: tuple, interned: dict[tuple, tuple]) -> tuple:
+    """The interned key of a node whose children have the interned keys
+    `child_keys`."""
+    entry = (node.production, node.elided_left, node.elided_right, *map(id, child_keys))
+    key = interned.get(entry)
+    if key is None:
+        key = interned[entry] = ("n", node.production, node.elided_left, node.elided_right, child_keys)
+    return key
+
+
+_children = attrgetter("children")
 
 
 def tree_sites(tree: ParseTree, grammar: BehaviorGrammar) -> list[CallSite]:
     """Call sites of the word terminals, in occurrence order, read from
-    `grammar`, the searched grammar or one of its shape, without recursing."""
+    `grammar`, the searched grammar or one of its shape, without recursing.
+    The sites of a node whose children are all leaves (or leafless
+    epsilon nodes) are one slice of its production's sites."""
     productions = grammar.productions
     out = []
-    todo = [(tree, None)]
+    todo = [] if tree.children is None else [tree]  # nodes, and leaf sites after them
     while todo:
-        node, site = todo.pop()
-        if node.children is not None:
-            todo.extend(_sited_children(node, productions[node.production]))
-        elif site is not None:
-            out.append(site)
+        node = todo.pop()
+        if node.__class__ is not ParseTree:
+            out.append(node)
+            continue
+        children = node.children
+        at = node.elided_left
+        sites = productions[node.production].sites[at:at + len(children)]
+        if not any(map(_children, children)):
+            out += filter(None, sites)  # a `CallSite` is true
+        else:
+            todo += [
+                site if child.children is None else child
+                for child, site in zip(reversed(children), reversed(sites))
+                if child.children is not None or site is not None
+            ]
     return out
 
 
@@ -327,7 +340,9 @@ def dump_tree(tree: ParseTree, grammar: BehaviorGrammar) -> str:
         out.append(f"{pad}{node.symbol}{rule}{marks}\n")
         if not node.children:
             out.append(f"{pad}  epsilon\n")
-        todo.extend((ch, pad + "  ", s) for ch, s in _sited_children(node, p))
+        # the children, last first, each with the site at its body position
+        sites = p.sites[node.elided_left:node.elided_left + len(node.children)]
+        todo.extend(zip(reversed(node.children), repeat(pad + "  "), reversed(sites)))
     return "".join(out)
 
 
@@ -376,6 +391,9 @@ def parse_subword_until_lca(
     interned: dict[tuple, tuple] = {}
 
     leaves = [ParseTree(sym, 1) for sym in word]
+    for leaf in leaves:  # keyed once: every emitted tree shares them
+        key = ("t", leaf.symbol)
+        leaf._key = interned.setdefault(key, key)
     first = word[0]
     work = [(((goto[(s, first)], leaves[0]),), 1, empty) for s in table.shift_states.get(first, ())]
     branches = len(work)
@@ -426,8 +444,12 @@ def parse_subword_until_lca(
             )
 
             if count == n:
-                _fill_keys(node, interned)
-                key = node._key
+                child_keys = tuple([child._key for child in children])
+                if None in child_keys:  # a child built by a reduction
+                    _fill_keys(node, interned)
+                    key = node._key
+                else:
+                    node._key = key = _node_key(node, child_keys, interned)
                 if key not in seen_keys:
                     seen_keys.add(key)
                     out.append(node)

@@ -465,25 +465,28 @@ _KEPT_PREFIXES = ("@", SCOPE_START_PREFIX)
 
 
 _Expansion = tuple[list[str], list[Optional[CallSite]]]
-_END = object()  # on `_expand`'s stack: a shared head's expansion ends here
-_UNDER_WAY: _Expansion = ([], [])  # in its memo: a shared head being expanded
+_END = object()  # on `_expand`'s stack: a kept expansion ends here
+# in `_expand`'s memo: an inlined head passed once, its expansion not kept;
+# and one passed again, its expansion being made to be kept
+_PASSED: _Expansion = ([], [])
+_UNDER_WAY: _Expansion = ([], [])
 
 
 def _expand(
     body: tuple[str, ...],
     sites: tuple[Optional[CallSite], ...],
     inline: dict[str, Production],
-    shared: set[str],
     memo: dict[str, _Expansion],
 ) -> _Expansion:
     """`body` with each inlined symbol replaced by its rule's expanded body,
-    depth first, and `sites` to match.  The expansion of a `shared` head is
-    made once and kept in `memo`.
+    depth first, and `sites` to match.  `memo`, shared by the bodies of one
+    grammar, marks each inlined head passed; the second time a head is
+    passed its expansion is made again and kept, and later passes copy it.
 
-    A cycle of inlined heads that `body` reaches passes some shared head
-    twice (the head where the cycle is entered is used from outside it and
-    from inside); meeting that head inside its own expansion raises
-    `AtomguardError`, since the cycle derives no finite word."""
+    A cycle of inlined heads that `body` reaches passes some head a second
+    time inside its own expansion, which is then the kept one; meeting that
+    head inside it raises `AtomguardError`, since the cycle derives no
+    finite word."""
     out_body: list[str] = []
     out_sites: list[Optional[CallSite]] = []
     # the symbols still to expand, last first, and their sites
@@ -495,19 +498,21 @@ def _expand(
         rule = inline.get(sym)
         while rule is not None:
             done = memo.get(sym)
-            if done is _UNDER_WAY:
+            if done is None:
+                memo[sym] = _PASSED
+            elif done is _PASSED:
+                memo[sym] = _UNDER_WAY
+                todo.append(_END)
+                todo_sites.append((sym, len(out_body)))
+            elif done is _UNDER_WAY:
                 raise AtomguardError(
                     f"grammar node {sym!r} has a single rule and derives itself"
                     " through single-rule nodes only, so it derives no finite word"
                 )
-            if done is not None:
+            else:
                 out_body += done[0]
                 out_sites += done[1]
                 break
-            if sym in shared:
-                memo[sym] = _UNDER_WAY
-                todo.append(_END)
-                todo_sites.append((sym, len(out_body)))
             body = rule.body
             if len(body) == 2 and body[0] not in inline:
                 # `n -> h succ`, a call node's rule: emit h, go on with succ
@@ -530,61 +535,26 @@ def _expand(
     return out_body, out_sites
 
 
-def _inline(
-    grammar: BehaviorGrammar,
-    by_head: dict[str, list[Production]],
-    inline: dict[str, Production],
-) -> list[Production]:
-    """The rules the start symbol reaches once the heads in `inline` are
-    inlined, in grammar order, each expanded once by `_expand`."""
-    terminals = grammar.terminals
-    # The kept heads the start reaches through inlined ones; an inlined head
-    # passed more than once is shared.
-    reachable = {grammar.start}
-    passed: set[str] = set()
-    shared: set[str] = set()
-    bodies = [p.body for p in by_head.get(grammar.start, ())]
-    while bodies:
-        for sym in bodies.pop():
-            rule = inline.get(sym)
-            if rule is None:
-                if sym not in reachable and sym not in terminals:
-                    reachable.add(sym)
-                    bodies += [p.body for p in by_head.get(sym, ())]
-            elif sym in passed:
-                shared.add(sym)
-            else:
-                passed.add(sym)
-                bodies.append(rule.body)
-
-    memo: dict[str, _Expansion] = {}
-    names = inline.keys()
-    out: list[Production] = []
-    for p in grammar.productions:
-        if p.head not in reachable:
-            continue
-        if not names.isdisjoint(p.body):
-            body, sites = _expand(p.body, p.sites, inline, shared, memo)
-            p = Production(p.head, tuple(body), tuple(sites))
-        out.append(p)
-    return out
-
-
 def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
     """Inline every single-rule node head the start symbol reaches, then drop
     the rules it does not reach and repeated rules.
 
     A node head is a control-flow-node symbol other than the start: method
     symbols and scope starts are never inlined.  The language is unchanged;
-    so is the method every remaining nonterminal belongs to.  Each kept rule
-    the start reaches is expanded once, depth first, and the expansion of an
-    inlined head used more than once is made once and copied.
+    so is the method every remaining nonterminal belongs to.
+
+    One walk from the start does it all: it expands each rule of a kept head
+    it has reached, depth first, and reaches the kept heads of the expanded
+    body.  The expansion of an inlined head passed more than once is made at
+    most twice and then copied.  The kept rules reached are then listed in
+    grammar order.
 
     A cycle of single-rule node heads that the start reaches raises
     `AtomguardError`.  Builder grammars have none: every control-flow cycle
     passes through a `while` node, whose two distinct successors give its
     head two rules under every call and skip selection.
     """
+    start, terminals = grammar.start, grammar.terminals
     by_head: dict[str, list[Production]] = {}
     for p in grammar.productions:
         by_head.setdefault(p.head, []).append(p)
@@ -593,11 +563,28 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         for head, rules in by_head.items()
         if len(rules) == 1 and not head.startswith(_KEPT_PREFIXES)
     }
-    inline.pop(grammar.start, None)
+    inline.pop(start, None)
+    names = inline.keys()
+    memo: dict[str, _Expansion] = {}
+    expanded: dict[int, Production] = {}  # by the id of the rule expanded
+    reached = {start}
+    todo = [start]
+    while todo:
+        for p in by_head.get(todo.pop(), ()):
+            body = p.body
+            if not names.isdisjoint(body):
+                body, sites = _expand(body, p.sites, inline, memo)
+                expanded[id(p)] = Production(p.head, tuple(body), tuple(sites))
+            heads = set(body).difference(terminals)
+            if not reached.issuperset(heads):
+                heads = sorted(heads.difference(reached))  # in a fixed order
+                reached.update(heads)
+                todo += heads
+    kept = [expanded.get(id(p), p) for p in grammar.productions if p.head in reached]
     return BehaviorGrammar(
-        start=grammar.start,
-        terminals=grammar.terminals,
-        productions=_drop_repeated(_inline(grammar, by_head, inline)),
+        start=start,
+        terminals=terminals,
+        productions=_drop_repeated(kept),
         label=grammar.label,
     )
 

@@ -10,6 +10,7 @@ into violations.  `verify_with_stats` composes them; the CLI dumps read them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .contracts import MAX_CLAUSE_LEN, CallSequence, Clause, expand_clause, parse_contract
@@ -76,13 +77,9 @@ class Violation(HashableRecord):
 
     @property
     def identity(self) -> tuple:
-        return _identity(self.thread, self.word, self.lca_method, self.calls)
-
-
-def _identity(thread: str, word: tuple[str, ...], lca_method: str,
-              calls: tuple[CallSite, ...]) -> tuple:
-    """What makes two violations the same report."""
-    return (thread, word, lca_method, tuple([(c.file, c.line) for c in calls]))
+        """What makes two violations the same report."""
+        return (self.thread, self.word, self.lca_method,
+                tuple([(c.file, c.line) for c in self.calls]))
 
 
 class RunStats(Record):
@@ -328,7 +325,9 @@ def classify_stage(
     unsafe: dict[str, Optional[str]] = {}  # tree symbol -> its method, unless atomically executed
     suggestions: dict[str, str] = {}  # method -> the suggestion to make it atomic
     stats = RunStats()
-    deduped: list[Violation] = []
+    # (sort key, violation); a program's call sites share one file, so an
+    # occurrence's lines stand for its sites in its identity and its sort key
+    deduped: list[tuple[tuple, Violation]] = []
     seen: set[tuple] = set()
     for check in checks:
         stats.grammars += 1
@@ -356,16 +355,17 @@ def classify_stage(
                 calls = tuple(tree_sites(tree, grammar))
                 if parameterized and not check_unification(word, calls):
                     continue
-                identity = _identity(thread, methods, method, calls)
+                lines = tuple([c.line for c in calls])
+                identity = (thread, methods, method, lines)
                 if identity in seen:
                     continue
                 seen.add(identity)
-                deduped.append(Violation(
+                deduped.append(((thread, clause.text, methods, lines), Violation(
                     clause.text, methods, thread, site, calls, symbol, method, suggestions[method]
-                ))
+                )))
 
-    deduped.sort(key=lambda v: (v.thread, v.clause, v.word, [c.line for c in v.calls]))
-    return deduped, stats
+    deduped.sort(key=itemgetter(0))
+    return [v for _, v in deduped], stats
 
 
 def verify_with_stats(

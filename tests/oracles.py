@@ -1110,6 +1110,49 @@ def reference_sites(tree: ReferenceTree) -> list[CallSite]:
     return out
 
 
+def reference_key(tree: ParseTree) -> tuple:
+    """`ParseTree.key` built from scratch, from the tree's fields alone:
+    `("t", symbol)` for a leaf, `("n", production, elided_left,
+    elided_right, child keys)` for a node.  Built without recursing, as
+    `sited_key` is."""
+    order = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if node.children is not None:
+            todo.extend(node.children)
+    keys: list[tuple] = []  # keys of the nodes met whose parent is not yet met
+    for node in reversed(order):
+        if node.children is None:
+            keys.append(("t", node.symbol))
+            continue
+        first = len(keys) - len(node.children)
+        children = tuple(keys[first:])
+        del keys[first:]
+        keys.append(("n", node.production, node.elided_left, node.elided_right, children))
+    return keys[0]
+
+
+def reference_leaf_sites(tree: ParseTree, grammar: BehaviorGrammar) -> list[CallSite]:
+    """The call sites of the tree's leaves in the order `dump_tree` prints
+    them, depth first and left to right, each read at the leaf's body
+    position in its parent's production of `grammar`, leaving out leaves
+    without one."""
+    out = []
+    todo = [(tree, None)]
+    while todo:
+        node, site = todo.pop()
+        if node.children is None:
+            if site is not None:
+                out.append(site)
+            continue
+        sites = grammar.productions[node.production].sites
+        at = node.elided_left
+        todo += reversed([(child, sites[at + i]) for i, child in enumerate(node.children)])
+    return out
+
+
 def sited_key(tree: ParseTree, grammar: BehaviorGrammar) -> tuple:
     """The `ReferenceTree.key` of a search tree: its `key` with each leaf
     keyed `("t", symbol, site node, site line)` by the call site at the

@@ -6,7 +6,9 @@ import codecs
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -772,3 +774,35 @@ def test_output_is_identical_across_runs(capsys):
     run(["check", "--dump-grammar", "--dump-table", "--dump-trees", DIRTY])
     second = capsys.readouterr().out
     assert first == second
+
+
+# Checks each program named on the command line under each flag set, as a
+# plain text report and as `--dump-trees --format json`, and prints every
+# run's exit code and output.
+EVERY_CHECK = """
+import contextlib, io, sys
+from atomguard.cli import run
+for path in sys.argv[1:]:
+    for flags in ([], ["--class-scope"], ["--no-points-to"]):
+        for dump in ([], ["--dump-trees", "--format", "json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = run(["check", path, *flags, *dump])
+            print(path, *flags, *dump, "exit", code)
+            print(out.getvalue())
+"""
+
+
+def test_output_is_identical_across_hash_seeds():
+    # the caches keyed by strings and tuples (the lexer's lexemes, the
+    # search's interned keys, the sets of symbols) must not leak their
+    # hash order into a report or a dump
+    paths = [str(p) for p in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO / "src"))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", EVERY_CHECK, *paths], env=env, capture_output=True, check=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b" exit 1\n") >= 3 * 2 * 15, "every bad corpus program reports"

@@ -123,10 +123,13 @@ def test_parser_error_on_truncated_input():
 
 LEXEMES = sorted(KEYWORDS) + list(PUNCT) + ["x", "_a1", "0", "42", '"a b"', '""', " ", "/"]
 # call statements: fused into one lexeme when spelled exactly `x.m();` with
-# neither name a keyword, and six tokens otherwise
+# neither name a keyword, and six tokens otherwise; a newline lexeme takes
+# the next line's blanks and such a call statement with it
 LEXEMES += [
     "m.a();", "m .a();", "m.a( );", "mé.a();", "é.a();", "new.a();", "m.if();", "m.a();//c",
     "m.a();\r",
+    "\n  m.a();", "\n\tm.a();", "\n m.if();", "\nnew.a();", "\n  m.a();//c", "\n \r m.a();",
+    "\n  m.a( );",
 ]
 # non-ASCII digits, letters and numbers, characters no lexeme starts with,
 # a lone quote, a comment opener and every whitespace character
@@ -199,6 +202,12 @@ def test_lexical_rules():
     ]
     assert _scan("  m.a(); x_1.b2();//c", "t.mg") == [
         ("call", "m", 1, 3, "a"), ("call", "x_1", 1, 10, "b2"), ("eof", "", 1, 19),
+    ]
+    # a newline lexeme takes the next line's blanks and its call statement
+    assert _scan("x \r\n\t m.a();\n  y\n  m.if();", "t.mg") == [
+        ("ident", "x", 1, 1), ("call", "m", 2, 3, "a"), ("ident", "y", 3, 3),
+        ("ident", "m", 4, 3), ("punct", ".", 4, 4), ("kw", "if", 4, 5), ("punct", "(", 4, 7),
+        ("punct", ")", 4, 8), ("punct", ";", 4, 9), ("eof", "", 4, 10),
     ]
     assert lex_outcome(tokenize, "x\x0by")[0] == "t.mg:1:2: unexpected character '\\x0b'"
     assert lex_outcome(tokenize, "x ½")[0] == "t.mg:1:3: unexpected character '½'"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -24,7 +25,7 @@ from atomguard import (
     tree_sites,
     verify_with_stats,
 )
-from atomguard.verifier import grammar_stage, simplify_stage
+from atomguard.verifier import grammar_stage, search_stage, simplify_stage
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
 from oracles import (
@@ -32,6 +33,8 @@ from oracles import (
     bounded_language,
     parse_dump,
     reference_build_parse_table,
+    reference_key,
+    reference_leaf_sites,
     reference_parse,
     reference_sites,
     sited_key,
@@ -39,6 +42,8 @@ from oracles import (
     tree_word_count,
 )
 from test_grammar import small_grammars
+from test_growth import SIZES as GROWTH_SIZES
+from test_growth import make as growth_case
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import families  # noqa: E402
@@ -394,6 +399,39 @@ def test_search_matches_reference_on_search_shapes(shape):
     program = parse_program(module + "class C {\n  " + body + "\n}\n", f"{shape}.mg")
     for table, word in searches(program):
         assert_search_like_reference(table, word)
+
+
+@pytest.mark.parametrize("flags", sorted(FLAGS))
+def test_every_found_tree_has_its_reference_key_and_sites(flags):
+    # every tree the checks find, shared same-shape searches included (each
+    # read with its own check's grammar): the key the search gave it in
+    # place, and its call sites in the order `dump_tree` prints its leaves
+    texts = [(path.name, path.read_text())
+             for path in sorted(PROGRAMS.glob("*.mg")) + sorted(CORPUS.glob("*.mg"))]
+    # three-call words: straight on one line, and across an `if`
+    texts.append(("abc.mg", 'class M contract { "a b c"; "c a b" } {\n'
+                  "  void a() { }\n  void b() { }\n  void c() { }\n}\n"
+                  "class C {\n  thread void run() {\n    m = new M();\n"
+                  "    m.a(); m.b(); m.c();\n    if (cond) { m.a(); }\n    m.b();\n  }\n}\n"))
+    cli_flags = () if flags == "default" else (f"--{flags}",)
+    for family, size in GROWTH_SIZES.items():
+        texts += [(f"{family}-{s}.mg", growth_case(family, s, cli_flags).text)
+                  for s in (size, 2 * size)]
+    found = 0
+    for name, text in texts:
+        program = parse_program(text, name)
+        for check in search_stage(simplify_stage(grammar_stage(program, **FLAGS[flags]))):
+            grammar = check.task.grammar
+            for _, _, trees in check.trees:
+                assert len({tree.key for tree in trees}) == len(trees)
+                for tree in trees:
+                    assert tree.key == reference_key(tree)
+                    sites = tree_sites(tree, grammar)
+                    assert sites == reference_leaf_sites(tree, grammar)
+                    dumped = re.findall(r"\[(\S+):(\d+)\]$", dump_tree(tree, grammar), re.M)
+                    assert [(s.file, str(s.line)) for s in sites] == dumped
+                    found += 1
+    assert found > 200, found
 
 
 def test_repr_of_a_deep_tree_is_shallow():
