@@ -46,12 +46,7 @@ class CallAtom(HashableRecord):
     """
 
     __slots__ = ("method", "result_var", "args")
-
-    def __init__(self, method: str, result_var: Optional[str] = None,
-                 args: Optional[tuple[str, ...]] = None):
-        self.method = method
-        self.result_var = result_var
-        self.args = args
+    _defaults = {"result_var": None, "args": None}
 
     @property
     def is_parameterized(self) -> bool:
@@ -61,24 +56,15 @@ class CallAtom(HashableRecord):
 class _Group(HashableRecord):
     __slots__ = ("branches",)
 
-    def __init__(self, branches: tuple[_Seq, ...]):
-        self.branches = branches
-
 
 class _Seq(HashableRecord):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple[Union[CallAtom, _Group], ...]):
-        self.items = items
 
 
 class CallSequence(HashableRecord):
     """One expanded word of a clause: a fixed sequence of call atoms."""
 
     __slots__ = ("atoms",)
-
-    def __init__(self, atoms: tuple[CallAtom, ...]):
-        self.atoms = atoms
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -92,16 +78,9 @@ class CallSequence(HashableRecord):
 class Clause(HashableRecord):
     __slots__ = ("text", "seq")
 
-    def __init__(self, text: str, seq: _Seq):
-        self.text = text
-        self.seq = seq
-
 
 class Contract(HashableRecord):
     __slots__ = ("clauses",)
-
-    def __init__(self, clauses: tuple[Clause, ...]):
-        self.clauses = clauses
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..errors import NoEntryPointsError
 from .syntax import MethodDecl, Program
 
 __all__ = ["find_thread_entries", "compute_atomically_executed"]
@@ -15,15 +14,6 @@ def find_thread_entries(program: Program) -> list[MethodDecl]:
         m = program.client_methods[name]
         if m.is_thread or m.name == "main":
             entries.append(m)
-    return entries
-
-
-def require_thread_entries(program: Program) -> list[MethodDecl]:
-    entries = find_thread_entries(program)
-    if not entries:
-        raise NoEntryPointsError(
-            "no thread entry methods (mark one `thread` or declare `main`)"
-        )
     return entries
 
 

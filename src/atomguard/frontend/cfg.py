@@ -54,10 +54,6 @@ class CfgNode(Record):
 class Cfg(Record):
     __slots__ = ("method", "nodes")
 
-    def __init__(self, method: MethodDecl, nodes: list[CfgNode]):
-        self.method = method
-        self.nodes = nodes
-
 
 class _Builder:
     def __init__(self, method: MethodDecl):

@@ -69,13 +69,8 @@ PUNCT = (
 
 
 class Token(Record):
+    # kind: "ident" | "int" | "string" | "kw" | "punct" | "eof"
     __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind  # "ident" | "int" | "string" | "kw" | "punct" | "eof"
-        self.text = text
-        self.line = line
-        self.column = column
 
 
 # One alternative per lexeme, each after a run of blanks, and a last one for

@@ -18,15 +18,9 @@ from ..records import HashableRecord, Record
 class Name(HashableRecord):
     __slots__ = ("id",)
 
-    def __init__(self, id: str):
-        self.id = id
-
 
 class IntLit(HashableRecord):
     __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
 
 
 class CondExpr(HashableRecord):
@@ -38,48 +32,23 @@ class CondExpr(HashableRecord):
 class New(HashableRecord):
     __slots__ = ("class_name",)
 
-    def __init__(self, class_name: str):
-        self.class_name = class_name
-
 
 class Unary(HashableRecord):
     __slots__ = ("op", "operand")
-
-    def __init__(self, op: str, operand: Expr):
-        self.op = op
-        self.operand = operand
 
 
 class Binary(HashableRecord):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op
-        self.left = left
-        self.right = right
-
 
 class Ternary(HashableRecord):
     __slots__ = ("cond", "then", "other")
-
-    def __init__(self, cond: Expr, then: Expr, other: Expr):
-        self.cond = cond
-        self.then = then
-        self.other = other
 
 
 class Call(Record):
     """A call expression.  receiver None means a bare (client) call."""
 
     __slots__ = ("receiver", "method", "args", "line", "column")
-
-    def __init__(self, receiver: Optional[str], method: str, args: tuple[Expr, ...], line: int,
-                 column: int):
-        self.receiver = receiver
-        self.method = method
-        self.args = args
-        self.line = line
-        self.column = column
 
 
 Expr = Union[Name, IntLit, CondExpr, New, Unary, Binary, Ternary, Call]
@@ -119,35 +88,17 @@ def expr_text(e: Expr) -> str:
 class Block(Record):
     __slots__ = ("stmts",)
 
-    def __init__(self, stmts: list[Stmt]):
-        self.stmts = stmts
-
 
 class If(Record):
     __slots__ = ("cond", "then", "orelse", "line")
-
-    def __init__(self, cond: Expr, then: Stmt, orelse: Optional[Stmt], line: int):
-        self.cond = cond
-        self.then = then
-        self.orelse = orelse
-        self.line = line
 
 
 class While(Record):
     __slots__ = ("cond", "body", "line")
 
-    def __init__(self, cond: Expr, body: Stmt, line: int):
-        self.cond = cond
-        self.body = body
-        self.line = line
-
 
 class Return(Record):
     __slots__ = ("value", "line")
-
-    def __init__(self, value: Optional[Expr], line: int):
-        self.value = value
-        self.line = line
 
 
 class Assign(Record):
@@ -155,27 +106,13 @@ class Assign(Record):
 
     __slots__ = ("target", "value", "declares", "line")
 
-    def __init__(self, target: str, value: Expr, declares: bool, line: int):
-        self.target = target
-        self.value = value
-        self.declares = declares
-        self.line = line
-
 
 class Increment(Record):
     __slots__ = ("target", "line")
 
-    def __init__(self, target: str, line: int):
-        self.target = target
-        self.line = line
-
 
 class ExprStmt(Record):
     __slots__ = ("call", "line")
-
-    def __init__(self, call: Call, line: int):
-        self.call = call
-        self.line = line
 
 
 Stmt = Union[Block, If, While, Return, Assign, Increment, ExprStmt]
@@ -198,10 +135,7 @@ def statement_call(stmt: Stmt) -> Optional[Call]:
 
 class Param(HashableRecord):
     __slots__ = ("name", "type_name")
-
-    def __init__(self, name: str, type_name: Optional[str] = None):
-        self.name = name
-        self.type_name = type_name
+    _defaults = {"type_name": None}
 
 
 class MethodDecl(Record):
@@ -209,27 +143,10 @@ class MethodDecl(Record):
         "name", "params", "return_type", "body", "is_atomic", "is_thread", "class_name", "line"
     )
 
-    def __init__(self, name: str, params: tuple[Param, ...], return_type: str, body: Block,
-                 is_atomic: bool, is_thread: bool, class_name: str, line: int):
-        self.name = name
-        self.params = params
-        self.return_type = return_type
-        self.body = body
-        self.is_atomic = is_atomic
-        self.is_thread = is_thread
-        self.class_name = class_name
-        self.line = line
-
 
 class ClassDecl(Record):
+    # contract_text: the raw annotation body, None for client classes
     __slots__ = ("name", "methods", "contract_text", "line")
-
-    def __init__(self, name: str, methods: list[MethodDecl], contract_text: Optional[str],
-                 line: int):
-        self.name = name
-        self.methods = methods
-        self.contract_text = contract_text  # raw annotation body, None for client classes
-        self.line = line
 
     @property
     def is_module(self) -> bool:

@@ -46,7 +46,6 @@ AUGMENTED_HEAD = "$accept"
 
 _Item = tuple[int, int]  # (production, dot)
 _by_item = itemgetter(1, 2)  # of a reduction (production, index, dot)
-_Reductions = tuple[tuple[tuple[Production, int, int], ...], ...]
 
 
 class ParseTable(HashableRecord):
@@ -56,28 +55,16 @@ class ParseTable(HashableRecord):
     hold no call sites, so a table and its trees serve every grammar of that
     shape, each reading the sites from its own productions."""
 
+    # productions: the grammar's productions and the augmented rule
+    # goto: (state, symbol) -> state
+    # reduce_mid, reduce_end: per state, the search's reductions as
+    # (production, index, dot): every complete item before the end of the
+    # word; at its end the complete non-epsilon items, then the items with
+    # the dot mid-body (their unseen right part is context)
     __slots__ = (
         "grammar", "productions", "states", "goto", "shift_states", "goto_sources",
         "reduce_mid", "reduce_end",
     )
-
-    def __init__(self, grammar: BehaviorGrammar, productions: tuple[Production, ...],
-                 states: tuple[frozenset[_Item], ...], goto: dict[tuple[int, str], int],
-                 shift_states: dict[str, tuple[int, ...]],
-                 goto_sources: dict[str, tuple[tuple[int, int], ...]], reduce_mid: _Reductions,
-                 reduce_end: _Reductions):
-        self.grammar = grammar
-        self.productions = productions  # grammar productions + augmented rule
-        self.states = states
-        self.goto = goto
-        self.shift_states = shift_states
-        self.goto_sources = goto_sources
-        # per state, the search's reductions as (production, index, dot):
-        # every complete item before the end of the word; at its end the
-        # complete non-epsilon items, then the items with the dot mid-body
-        # (their unseen right part is context)
-        self.reduce_mid = reduce_mid
-        self.reduce_end = reduce_end
 
 
 def build_parse_table(grammar: BehaviorGrammar) -> ParseTable:
@@ -352,10 +339,7 @@ def dump_tree(tree: ParseTree, grammar: BehaviorGrammar) -> str:
 
 class ParseStats(Record):
     __slots__ = ("branches", "trees")
-
-    def __init__(self, branches: int = 0, trees: int = 0):
-        self.branches = branches
-        self.trees = trees
+    _defaults = {"branches": 0, "trees": 0}
 
 
 def parse_subword_until_lca(

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import AtomguardError
 from .frontend.cfg import NodeKind, build_cfg
-from .frontend.syntax import Call, ClassDecl, MethodDecl, Program, expr_text
+from .frontend.syntax import ClassDecl, MethodDecl, Program, expr_text
 from .pointsto import AllocationSite, PointsToResult
 from .records import HashableRecord, Record
 
@@ -57,16 +57,6 @@ class CallSite(HashableRecord):
 
     __slots__ = ("node", "method", "file", "line", "receiver", "args", "result")
 
-    def __init__(self, node: str, method: str, file: str, line: int, receiver: Optional[str],
-                 args: tuple[str, ...], result: Optional[str]):
-        self.node = node
-        self.method = method
-        self.file = file
-        self.line = line
-        self.receiver = receiver
-        self.args = args
-        self.result = result
-
 
 class Production(HashableRecord):
     """`head -> body`, with the call site of each body symbol (None where
@@ -88,14 +78,9 @@ class Production(HashableRecord):
 class BehaviorGrammar(HashableRecord):
     """A start symbol, the terminals and the productions, in order."""
 
+    # label: e.g. the thread or class the grammar describes
     __slots__ = ("start", "terminals", "productions", "label")
-
-    def __init__(self, start: str, terminals: frozenset[str], productions: tuple[Production, ...],
-                 label: str = ""):
-        self.start = start
-        self.terminals = terminals
-        self.productions = productions
-        self.label = label  # e.g. thread or class the grammar describes
+    _defaults = {"label": ""}
 
 
 def symbol_method(symbol: str) -> Optional[str]:
@@ -149,12 +134,6 @@ class _LoweredNode(Record):
     time a grammar selects them: most calls are only ever taken."""
 
     __slots__ = ("call", "calls", "_skips")
-
-    def __init__(self, call: Optional[Call], calls: tuple[Production, ...],
-                 _skips: Optional[tuple[Production, ...]]):
-        self.call = call
-        self.calls = calls
-        self._skips = _skips
 
     def skips(self) -> tuple[Production, ...]:
         if self._skips is None:  # a call node: each call production minus its call
@@ -359,11 +338,7 @@ class SiteDrop(HashableRecord):
     terminals of the `tracked` call nodes (those whose receiver some tracked
     allocation may reach) that are not the site's `own`."""
 
-    __slots__ = ("tracked", "own")
-
-    def __init__(self, tracked: frozenset[str], own: frozenset[str]):
-        self.tracked = tracked  # shared by the unit's sites
-        self.own = own
+    __slots__ = ("tracked", "own")  # `tracked` is shared by the unit's sites
 
 
 def site_drops(

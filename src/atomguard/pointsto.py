@@ -23,14 +23,8 @@ __all__ = [
 class AllocationSite(HashableRecord):
     """One `new ModuleClass()` expression in client code."""
 
+    # method: the client method containing the allocation
     __slots__ = ("index", "class_name", "method", "file", "line")
-
-    def __init__(self, index: int, class_name: str, method: str, file: str, line: int):
-        self.index = index
-        self.class_name = class_name
-        self.method = method  # client method containing the allocation
-        self.file = file
-        self.line = line
 
     @property
     def label(self) -> str:

@@ -13,14 +13,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .contracts import MAX_CLAUSE_LEN, CallSequence, Clause, expand_clause, parse_contract
-from .errors import AtomguardError
-from .frontend.analysis import compute_atomically_executed, require_thread_entries
+from .contracts import MAX_CLAUSE_LEN, CallSequence, expand_clause, parse_contract
+from .errors import AtomguardError, NoEntryPointsError
+from .frontend.analysis import compute_atomically_executed, find_thread_entries
 from .frontend.syntax import ClassDecl, Program
 from .glr import (
     ParseStats,
-    ParseTable,
-    ParseTree,
     build_parse_table,
     parse_subword_until_lca,
     tree_sites,
@@ -33,7 +31,6 @@ from .grammar import (
     build_class_scope_grammar,
     _reachable_methods,
     _shared_lowering,
-    SiteDrop,
     base_site,
     simplify_grammar,
     site_drops,
@@ -64,17 +61,6 @@ class Violation(HashableRecord):
         "clause", "word", "thread", "site", "calls", "lca_symbol", "lca_method", "suggestion"
     )
 
-    def __init__(self, clause: str, word: tuple[str, ...], thread: str, site: Optional[str],
-                 calls: tuple[CallSite, ...], lca_symbol: str, lca_method: str, suggestion: str):
-        self.clause = clause
-        self.word = word
-        self.thread = thread
-        self.site = site
-        self.calls = calls
-        self.lca_symbol = lca_symbol
-        self.lca_method = lca_method
-        self.suggestion = suggestion
-
     @property
     def identity(self) -> tuple:
         """What makes two violations the same report."""
@@ -84,11 +70,7 @@ class Violation(HashableRecord):
 
 class RunStats(Record):
     __slots__ = ("grammars", "trees", "branches")
-
-    def __init__(self, grammars: int = 0, trees: int = 0, branches: int = 0):
-        self.grammars = grammars
-        self.trees = trees
-        self.branches = branches
+    _defaults = {"grammars": 0, "trees": 0, "branches": 0}
 
 
 def check_unification(sequence: CallSequence, sites: Sequence[CallSite]) -> bool:
@@ -132,13 +114,6 @@ class _Unit(Record):
 
     __slots__ = ("label", "roots", "scope", "class_decl")
 
-    def __init__(self, label: str, roots: list[str], scope: Optional[frozenset[str]],
-                 class_decl: Optional[ClassDecl]):
-        self.label = label
-        self.roots = roots
-        self.scope = scope
-        self.class_decl = class_decl
-
 
 def _units(program: Program, class_scope: bool) -> list[_Unit]:
     if class_scope:
@@ -156,7 +131,9 @@ def _units(program: Program, class_scope: bool) -> list[_Unit]:
         if not units:
             raise AtomguardError("no client classes to analyze")
         return units
-    entries = require_thread_entries(program)
+    entries = find_thread_entries(program)
+    if not entries:
+        raise NoEntryPointsError("no thread entry methods (mark one `thread` or declare `main`)")
     return [
         _Unit(label=m.name, roots=[m.name], scope=None, class_decl=None) for m in entries
     ]
@@ -181,20 +158,14 @@ def _grammar(
 class Task(HashableRecord):
     """One grammar to search and the contract words to search it for."""
 
+    # unit: the thread entry, or `class:NAME` under class scope
+    # site: the allocation site label; None without refinement
+    # words: each contract clause with the call sequences it expands to
+    # drop: set when `grammar` is the unit's base grammar, which its sites
+    # share: the call terminals the site's grammar lacks (a `SiteDrop`, see
+    # `site_drops`).  None when `grammar` is the task's own.
     __slots__ = ("module", "unit", "site", "grammar", "words", "drop")
-
-    def __init__(self, module: str, unit: str, site: Optional[str], grammar: BehaviorGrammar,
-                 words: tuple[tuple[Clause, tuple[CallSequence, ...]], ...],
-                 drop: Optional[SiteDrop] = None):
-        self.module = module
-        self.unit = unit  # thread entry, or `class:NAME` under class scope
-        self.site = site  # allocation site label; None without refinement
-        self.grammar = grammar
-        self.words = words
-        # Set when `grammar` is the unit's base grammar, which its sites
-        # share: the call terminals the site's grammar lacks (see
-        # `site_drops`).  None when `grammar` is the task's own.
-        self.drop = drop
+    _defaults = {"drop": None}
 
 
 class Check(HashableRecord):
@@ -203,15 +174,8 @@ class Check(HashableRecord):
     filter.  The trees' call sites are read from `task.grammar`: the table,
     and the trees, may be those of an earlier task of the same shape."""
 
+    # trees: one (clause, word, the word's trees) triple per word
     __slots__ = ("task", "table", "trees", "stats")
-
-    def __init__(self, task: Task, table: ParseTable,
-                 trees: tuple[tuple[Clause, CallSequence, list[ParseTree]], ...],
-                 stats: ParseStats):
-        self.task = task
-        self.table = table
-        self.trees = trees
-        self.stats = stats
 
 
 def grammar_stage(

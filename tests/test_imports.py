@@ -1,6 +1,7 @@
 """Every name a package module imports is read in that module, every name
-it exports is bound there, the command line starts without the reflection
-modules, and the README's API snippets run."""
+it exports is bound there, no record writes out the constructor `Record`
+derives, the command line starts without the reflection modules, and the
+README's API snippets run."""
 
 from __future__ import annotations
 
@@ -94,6 +95,63 @@ def test_unbound_exports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def copy_only_inits(source: str) -> list[str]:
+    """Record classes (those deriving from `Record` or `HashableRecord` by
+    name) whose `__init__` only assigns each parameter to the same-named
+    attribute: `Record` derives that constructor from `__slots__`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+            isinstance(b, ast.Name) and b.id in ("Record", "HashableRecord") for b in node.bases
+        ):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name != "__init__":
+                continue
+            params = {a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs}
+            if all(
+                isinstance(s, ast.Assign)
+                and len(s.targets) == 1
+                and isinstance(s.targets[0], ast.Attribute)
+                and isinstance(s.targets[0].value, ast.Name)
+                and s.targets[0].value.id == "self"
+                and isinstance(s.value, ast.Name)
+                and s.value.id == s.targets[0].attr
+                and s.value.id in params
+                for s in fn.body
+            ):
+                found.append(f"{node.name} (line {fn.lineno})")
+    return found
+
+
+def test_copy_only_inits_are_found():
+    source = (
+        "class Copied(HashableRecord):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b=None):\n"
+        "        self.a = a\n"
+        "        self.b = b\n"
+        "class Fresh(Record):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b=None):\n"
+        "        self.a = a\n"
+        "        self.b = [] if b is None else b\n"
+        "class Renamed(Record):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, x):\n"
+        "        self.a = x\n"
+        "class Plain:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = a\n"
+    )
+    assert copy_only_inits(source) == ["Copied (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_record_writes_out_its_constructor(path):
+    assert copy_only_inits(path.read_text(encoding="utf-8")) == []
 
 
 def test_readme_api_snippets_run():

@@ -1,9 +1,14 @@
-"""The record types the package exports: how they are constructed, compared,
-hashed and printed.  Reports, dedup and tests rely on each of these."""
+"""The package's record types: how they are constructed, compared, hashed
+and printed.  Reports, dedup and tests rely on each of these."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
+
+import atomguard
 
 from atomguard import (
     AllocationSite,
@@ -47,6 +52,10 @@ from atomguard.frontend import (
     Unary,
     While,
 )
+from atomguard.contracts import _Group, _Seq
+from atomguard.grammar import SiteDrop, _LoweredNode
+from atomguard.records import HashableRecord, Record
+from atomguard.verifier import _Unit
 
 # (class, its fields in constructor order, the defaults of the trailing ones)
 RECORDS = [
@@ -77,12 +86,16 @@ RECORDS = [
     (AllocationSite, "index class_name method file line", {}),
     (PointsToResult, "sites may _locals", {"_locals": {}}),
     (CallAtom, "method result_var args", {"result_var": None, "args": None}),
+    (_Group, "branches", {}),
+    (_Seq, "items", {}),
     (CallSequence, "atoms", {}),
     (Clause, "text seq", {}),
     (Contract, "clauses", {}),
     (CallSite, "node method file line receiver args result", {}),
     (Production, "head body sites", {}),
     (BehaviorGrammar, "start terminals productions label", {"label": ""}),
+    (_LoweredNode, "call calls _skips", {}),
+    (SiteDrop, "tracked own", {}),
     (ParseTable,
      "grammar productions states goto shift_states goto_sources reduce_mid reduce_end", {}),
     (ParseStats, "branches trees", {"branches": 0, "trees": 0}),
@@ -90,14 +103,36 @@ RECORDS = [
     (RunStats, "grammars trees branches", {"grammars": 0, "trees": 0, "branches": 0}),
     (Task, "module unit site grammar words drop", {"drop": None}),
     (Check, "task table trees stats", {}),
+    (_Unit, "label roots scope class_decl", {}),
 ]
 # Unfrozen records compare by value but are unhashable, as the README says of
 # `Token` and `Call`; frozen ones hash by their fields.
 UNHASHABLE = {
     Call, Block, If, While, Return, Assign, Increment, ExprStmt, MethodDecl,
     ClassDecl, Program, Token, CfgNode, Cfg, PointsToResult, ParseStats,
-    RunStats,
+    RunStats, _LoweredNode, _Unit,
 }
+
+
+def all_records() -> set[type]:
+    """Every `Record` subclass the package defines, each module but
+    `__main__` imported."""
+    for module in pkgutil.walk_packages(atomguard.__path__, "atomguard."):
+        if module.name != "atomguard.__main__":
+            importlib.import_module(module.name)
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("atomguard."):
+                found.add(sub)
+    return found - {HashableRecord}
+
+
+def test_every_record_is_pinned():
+    pinned = {cls for cls, _, _ in RECORDS}
+    assert sorted(c.__qualname__ for c in all_records() - pinned) == []
+    assert len(pinned) == len(RECORDS) == 42
 
 
 def fields_of(cls, names):
@@ -120,6 +155,34 @@ def test_positional_and_keyword_construction(record):
     by_keyword = cls(**dict(zip(names, values)))
     for obj in (by_position, by_keyword):
         assert tuple(getattr(obj, name) for name in names) == values
+
+
+def test_constructor_reads_as_the_class_own(record):
+    cls, names, _, defaults = record
+    if names:
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
+    if len(defaults) < len(names):
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing"):
+            cls()
+
+
+# The records that write their own constructor; `Record` derives the others'.
+OWN_INIT = {Production, Program, CfgNode, PointsToResult}
+
+
+def test_a_derived_constructor_runs_the_written_out_bytecode(record):
+    cls, names, _, defaults = record
+    if cls in OWN_INIT or not names:
+        assert ("__init__" in cls.__dict__) == (cls in OWN_INIT)
+        return
+    namespace = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    self.{name} = {name}\n" for name in names), namespace)
+    written, derived = namespace["__init__"].__code__, cls.__init__.__code__
+    assert derived.co_code == written.co_code
+    assert (derived.co_varnames, derived.co_names) == (written.co_varnames, written.co_names)
+    assert cls.__init__.__defaults__ == tuple(defaults.values())
 
 
 def test_defaults(record):
@@ -156,6 +219,24 @@ def test_repr(record):
     cls, names, values, _ = record
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(cls(*values)) == f"{cls.__name__}({shown})"
+
+
+def test_a_mutable_or_misplaced_default_is_rejected():
+    for mutable in ([], {}, set()):
+        with pytest.raises(ValueError, match="mutable default"):
+            class Shared(Record):
+                __slots__ = ("name", "items")
+                _defaults = {"items": mutable}
+    with pytest.raises(TypeError, match="last fields"):
+        class Gap(Record):
+            __slots__ = ("name", "items")
+            _defaults = {"name": None}
+
+    class Frozen(Record):
+        __slots__ = ("name", "items")
+        _defaults = {"items": ()}
+
+    assert Frozen("n").items == () and Frozen("n", (1,)).items == (1,)
 
 
 def test_hash_of_the_call_records_used_as_keys():
