@@ -14,7 +14,6 @@ from ..records import Record
 from .syntax import (
     Assign,
     Block,
-    Call,
     ExprStmt,
     If,
     Increment,
@@ -37,18 +36,8 @@ class NodeKind(enum.Enum):
 
 
 class CfgNode(Record):
+    # result_var: the variable receiving the call result
     __slots__ = ("index", "kind", "line", "succ", "call", "result_var", "stmt")
-
-    def __init__(self, index: int, kind: NodeKind, line: int, succ: Optional[list[int]] = None,
-                 call: Optional[Call] = None, result_var: Optional[str] = None,
-                 stmt: Optional[Stmt] = None):
-        self.index = index
-        self.kind = kind
-        self.line = line
-        self.succ = [] if succ is None else succ
-        self.call = call
-        self.result_var = result_var  # variable receiving the call result
-        self.stmt = stmt
 
 
 class Cfg(Record):

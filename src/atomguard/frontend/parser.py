@@ -136,8 +136,7 @@ class _Parser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes, source_name, calls=self.calls, local_names=self.local_names,
-                       flows=self.flows)
+        return Program(classes, source_name, {}, {}, self.calls, self.local_names, self.flows)
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")

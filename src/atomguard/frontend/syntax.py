@@ -163,29 +163,16 @@ Flow = tuple[Optional[str], Expr, int]
 
 
 class Program(Record):
+    # client_methods (name -> method) and module_methods (name -> module
+    # classes): the resolution indexes, filled by the parser
+    # calls: client method -> calls, in order
+    # local_names: client method -> its formals and `var`-declared names
+    # flows: client method -> its assignments, returns with a value, call
+    # statements and call conditions, in statement order (outer first)
     __slots__ = (
         "classes", "source_name", "client_methods", "module_methods", "calls", "local_names",
         "flows",
     )
-
-    def __init__(self, classes: list[ClassDecl], source_name: str,
-                 client_methods: Optional[dict[str, MethodDecl]] = None,
-                 module_methods: Optional[dict[str, list[str]]] = None,
-                 calls: Optional[dict[str, list[Call]]] = None,
-                 local_names: Optional[dict[str, frozenset[str]]] = None,
-                 flows: Optional[dict[str, list[Flow]]] = None):
-        self.classes = classes
-        self.source_name = source_name
-        # Resolution indexes, filled by the parser:
-        self.client_methods = {} if client_methods is None else client_methods
-        # name -> module classes
-        self.module_methods = {} if module_methods is None else module_methods
-        self.calls = {} if calls is None else calls  # client method -> calls, in order
-        # client method -> its formals and `var`-declared names
-        self.local_names = {} if local_names is None else local_names
-        # client method -> its assignments, returns with a value, call
-        # statements and call conditions, in statement order (outer first)
-        self.flows = {} if flows is None else flows
 
     @property
     def modules(self) -> list[ClassDecl]:

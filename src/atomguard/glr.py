@@ -25,7 +25,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .grammar import BehaviorGrammar, CallSite, Production
-from .records import HashableRecord, Record
+from .records import Record
 
 __all__ = [
     "ParseTable",
@@ -48,7 +48,7 @@ _Item = tuple[int, int]  # (production, dot)
 _by_item = itemgetter(1, 2)  # of a reduction (production, index, dot)
 
 
-class ParseTable(HashableRecord):
+class ParseTable(Record):
     """The LR(0) automaton of a grammar and the search's reductions per
     state.  The automaton depends only on the grammar's shape: its start,
     its terminals and each rule's head and body.  The trees searched over it

@@ -55,7 +55,7 @@ SCOPE_START_PREFIX = "$start:"
 class CallSite(HashableRecord):
     """Source information for one terminal occurrence in a production."""
 
-    __slots__ = ("node", "method", "file", "line", "receiver", "args", "result")
+    __slots__ = ("node", "method", "file", "line", "args", "result")
 
 
 class Production(HashableRecord):
@@ -78,9 +78,7 @@ class Production(HashableRecord):
 class BehaviorGrammar(HashableRecord):
     """A start symbol, the terminals and the productions, in order."""
 
-    # label: e.g. the thread or class the grammar describes
-    __slots__ = ("start", "terminals", "productions", "label")
-    _defaults = {"label": ""}
+    __slots__ = ("start", "terminals", "productions")
 
 
 def symbol_method(symbol: str) -> Optional[str]:
@@ -98,10 +96,6 @@ def symbol_method(symbol: str) -> Optional[str]:
 
 def _method_symbol(name: str) -> str:
     return f"@{name}"
-
-
-def _node_symbol(method: str, index: int) -> str:
-    return f"{method}.{index}"
 
 
 def _reachable_methods(
@@ -166,7 +160,7 @@ def _shared_lowering() -> Iterator[None]:
 def _lower(program: Program, method: MethodDecl) -> _Lowered:
     name = method.name
     cfg_nodes = build_cfg(method).nodes
-    syms = [f"{name}.{i}" for i in range(len(cfg_nodes))]  # as `_node_symbol` names them
+    syms = [f"{name}.{i}" for i in range(len(cfg_nodes))]  # node symbols `f.3`
     file = program.source_name
     nodes = []
     for node in cfg_nodes:
@@ -187,7 +181,7 @@ def _lower(program: Program, method: MethodDecl) -> _Lowered:
         else:
             first = call.method
             args = tuple([expr_text(a) for a in call.args]) if call.args else ()
-            cs = CallSite(sym, first, file, call.line, call.receiver, args, node.result_var)
+            cs = CallSite(sym, first, file, call.line, args, node.result_var)
         if len(succ) == 1:
             calls = (Production(sym, (first, syms[succ[0]]), (cs, None)),)
         else:
@@ -214,7 +208,6 @@ def _build(
     scope: Optional[frozenset[str]],
     site: Optional[AllocationSite],
     pointsto: Optional[PointsToResult],
-    label: str,
 ) -> BehaviorGrammar:
     module_method_names = {m.name for m in module.methods}
     reach = _reachable_methods(program, [m.name for m in roots], scope)
@@ -252,7 +245,6 @@ def _build(
         start=start,
         terminals=frozenset(module_method_names),
         productions=tuple(prods),
-        label=label,
     )
 
 
@@ -286,7 +278,6 @@ def build_behavior_grammar_pointsto(
         scope=None,
         site=site,
         pointsto=pointsto,
-        label=entry,
     )
 
 
@@ -310,7 +301,6 @@ def build_class_scope_grammar(
         scope=scope,
         site=site,
         pointsto=pointsto,
-        label=f"class:{cls.name}",
     )
 
 
@@ -423,7 +413,6 @@ def site_restrictor(
             start=grammar.start,
             terminals=grammar.terminals,
             productions=_drop_repeated(out),
-            label=grammar.label,
         )
 
     return restrict
@@ -560,7 +549,6 @@ def simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         start=start,
         terminals=terminals,
         productions=_drop_repeated(kept),
-        label=grammar.label,
     )
 
 

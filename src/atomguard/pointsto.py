@@ -7,8 +7,6 @@ everything else is opaque.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .frontend.syntax import RETURN_SLOT, Call, ClassDecl, Expr, Name, New, Program, Ternary
 from .records import HashableRecord, Record
 
@@ -36,12 +34,6 @@ _NONE: frozenset = frozenset()
 
 class PointsToResult(Record):
     __slots__ = ("sites", "may", "_locals")
-
-    def __init__(self, sites: list[AllocationSite], may: dict[str, frozenset[int]],
-                 _locals: Optional[dict[str, frozenset[str]]] = None):
-        self.sites = sites
-        self.may = may
-        self._locals = {} if _locals is None else _locals
 
     def var_key(self, method: str, name: str) -> str:
         if name in self._locals.get(method, _NONE):

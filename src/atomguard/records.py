@@ -6,9 +6,8 @@ and an optional class-level `_defaults` mapping: it assigns each argument to
 its same-named field, with the bytecode of written-out `self.f = f`
 statements, and the trailing fields named in `_defaults` take those
 defaults.  A `list`, `dict` or `set` default is rejected, as `dataclasses`
-rejects it: a record whose field starts as a fresh container (`Program`,
-`CfgNode`, `PointsToResult`) or that checks its arguments (`Production`)
-writes its own.
+rejects it, so a caller passes each container.  The one record that checks
+its arguments, `Production` (its sites align with its body), writes its own.
 
 `Record` compares records of the same class by their fields, prints them as
 `Name(field=value, ...)` and leaves them unhashable, as an unfrozen

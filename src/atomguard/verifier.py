@@ -168,7 +168,7 @@ class Task(HashableRecord):
     _defaults = {"drop": None}
 
 
-class Check(HashableRecord):
+class Check(Record):
     """A searched task (grammar simplified), its parse table, and each word's
     trees as the search found them, before unification and the atomicity
     filter.  The trees' call sites are read from `task.grammar`: the table,

@@ -64,7 +64,6 @@ from atomguard.grammar import (
     EPSILON,
     SCOPE_START_PREFIX,
     _method_symbol,
-    _node_symbol,
     _reachable_methods,
 )
 from atomguard.glr import AUGMENTED_HEAD
@@ -364,7 +363,6 @@ def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
         start=grammar.start,
         terminals=grammar.terminals,
         productions=tuple(kept),
-        label=grammar.label,
     )
 
 
@@ -471,6 +469,10 @@ def reference_build_cfg(method: MethodDecl) -> list[ReferenceCfgNode]:
 # Grammar building, one CFG walk per grammar
 
 
+def _node_symbol(method: str, index: int) -> str:
+    return f"{method}.{index}"
+
+
 def reference_build(
     program: Program,
     module: ClassDecl,
@@ -479,7 +481,6 @@ def reference_build(
     scope: Optional[frozenset[str]],
     site: Optional[AllocationSite],
     pointsto: Optional[PointsToResult],
-    label: str,
 ) -> BehaviorGrammar:
     """The grammar `atomguard.grammar._build` must produce for these
     arguments: walks every reachable method's CFG, as `reference_build_cfg`
@@ -524,7 +525,6 @@ def reference_build(
                         method=node.call.method,
                         file=program.source_name,
                         line=node.call.line,
-                        receiver=node.call.receiver,
                         args=tuple(expr_text(a) for a in node.call.args),
                         result=node.result_var,
                     )
@@ -553,7 +553,6 @@ def reference_build(
         start=start,
         terminals=frozenset(module_method_names),
         productions=tuple(prods),
-        label=label,
     )
 
 
@@ -1536,7 +1535,7 @@ class _ReferenceParser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes=classes, source_name=source_name)
+        return Program(classes, source_name, {}, {}, {}, {}, {})
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")

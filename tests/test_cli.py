@@ -776,6 +776,16 @@ def test_output_is_identical_across_runs(capsys):
     assert first == second
 
 
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.chdir(CORPUS)
+    monkeypatch.setenv("ATOMGUARD_COLOR", "0")
+    argv = ["check", "local_counter.bad.mg"]
+    assert run(argv) == 1
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-m", "atomguard", *argv], env=env, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, capsys.readouterr().out.encode(), b"")
+
+
 # Checks each program named on the command line under each flag set, as a
 # plain text report and as `--dump-trees --format json`, and prints every
 # run's exit code and output.

@@ -320,7 +320,7 @@ def test_simplify_rejects_a_cycle_of_single_rule_nodes():
 
 def test_simplify_splices_every_occurrence_with_its_sites():
     def site(method, line):
-        return CallSite("n", method, "t.mg", line, "m", (), None)
+        return CallSite("n", method, "t.mg", line, (), None)
 
     a, b, c = site("a", 1), site("b", 2), site("c", 3)
     grammar = BehaviorGrammar(
@@ -344,9 +344,9 @@ RANDOM_HEADS = ("n.0", "n.1", "n.2", "n.10", "x", "@f", "@g", "$start:C")
 RANDOM_TERMINALS = ("a", "b")
 RANDOM_SITES = (
     None,
-    CallSite("n.1", "a", "r.mg", 1, "m", (), None),
-    CallSite("n.1", "a", "r.mg", 1, "m", (), None),
-    CallSite("n.2", "b", "r.mg", 2, "m", ("x",), "y"),
+    CallSite("n.1", "a", "r.mg", 1, (), None),
+    CallSite("n.1", "a", "r.mg", 1, (), None),
+    CallSite("n.2", "b", "r.mg", 2, ("x",), "y"),
 )
 
 
@@ -431,7 +431,7 @@ def assert_single_rule_heads_form_no_cycle(prog) -> tuple[int, int, int]:
             drops += task.drop is not None
     for grammar in grammars.values():
         rules = single_rule_node_heads(grammar)
-        assert [head for head in rules if derives_itself(rules, head)] == [], grammar.label
+        assert [head for head in rules if derives_itself(rules, head)] == [], grammar.start
     return len(grammars), drops, loops
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is read in that module, every name
-it exports is bound there, no record writes out the constructor `Record`
-derives, the command line starts without the reflection modules, and the
-README's API snippets run."""
+it exports is bound there, every private top-level name is read somewhere in
+the package, no record writes out the constructor `Record` derives, the
+command line starts without the reflection modules, and the README's API
+snippets run."""
 
 from __future__ import annotations
 
@@ -152,6 +153,63 @@ def test_copy_only_inits_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_record_writes_out_its_constructor(path):
     assert copy_only_inits(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level definitions (functions, classes and assigned names
+    starting with one `_`) that no other top-level statement of any of the
+    `sources`, keyed by module, reads, imports or names as an attribute; a
+    comment does not count, nor does a function's call of itself."""
+    defined: list[tuple[str, str, int, ast.stmt]] = []
+    uses: list[tuple[ast.stmt, set[str]]] = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {alias.name for alias in node.names}
+            uses.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                bound = []
+            defined += [(module, name, stmt.lineno, stmt) for name in bound
+                        if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}: {name} (line {line})" for module, name, line, stmt in defined
+            if not any(name in names for other, names in uses if other is not stmt)]
+
+
+def test_dead_private_names_are_found():
+    sources = {
+        "a": (
+            "_used = 1\n"
+            "_dead = 2  # only _dead's comment names it\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "def _helper():\n"
+            "    return _used\n"
+            "class _Shape: pass\n"
+            "_Alias = dict\n"
+            "_by_attribute = 3\n"
+            "__all__ = ['f']\n"
+            "def f(x: _Alias):\n"
+            "    return _helper()\n"
+        ),
+        "b": "from .a import _Shape\nimport a\nprint(a._by_attribute)\n",
+    }
+    assert dead_private_names(sources) == ["a: _dead (line 2)", "a: _recursive (line 3)"]
+
+
+def test_every_private_name_is_read():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_private_names(sources) == []
 
 
 def test_readme_api_snippets_run():
