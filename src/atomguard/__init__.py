@@ -27,17 +27,9 @@ from .errors import (
     UnknownMethodError,
     UnresolvedMethodError,
 )
-from .frontend import (
-    Cfg,
-    CfgNode,
-    MethodDecl,
-    NodeKind,
-    Program,
-    build_cfg,
-    compute_atomically_executed,
-    find_thread_entries,
-    parse_program,
-)
+from .frontend.cfg import CfgNode, NodeKind, build_cfg
+from .frontend.parser import parse_program
+from .frontend.syntax import MethodDecl, Program
 from .glr import (
     ParseStats,
     ParseTable,
@@ -71,6 +63,8 @@ from .verifier import (
     Violation,
     check_unification,
     classify_stage,
+    compute_atomically_executed,
+    find_thread_entries,
     grammar_stage,
     render_report,
     search_stage,
@@ -88,7 +82,6 @@ __all__ = [
     "CallAtom",
     "CallSequence",
     "CallSite",
-    "Cfg",
     "CfgNode",
     "Check",
     "Clause",

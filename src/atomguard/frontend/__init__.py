@@ -1,67 +1,1 @@
-"""Mini-language frontend: parsing, control-flow graphs, thread analysis."""
-
-from .analysis import compute_atomically_executed, find_thread_entries
-from .cfg import Cfg, CfgNode, NodeKind, build_cfg
-from .lexer import Token, tokenize
-from .parser import iter_method_statements, parse_program
-from .syntax import (
-    Assign,
-    Binary,
-    Block,
-    Call,
-    ClassDecl,
-    CondExpr,
-    Expr,
-    ExprStmt,
-    If,
-    Increment,
-    IntLit,
-    MethodDecl,
-    Name,
-    New,
-    Param,
-    Program,
-    Return,
-    Stmt,
-    Ternary,
-    Unary,
-    While,
-    expr_text,
-    statement_call,
-)
-
-__all__ = [
-    "Assign",
-    "Binary",
-    "Block",
-    "Call",
-    "Cfg",
-    "CfgNode",
-    "ClassDecl",
-    "CondExpr",
-    "Expr",
-    "ExprStmt",
-    "If",
-    "Increment",
-    "IntLit",
-    "MethodDecl",
-    "Name",
-    "New",
-    "NodeKind",
-    "Param",
-    "Program",
-    "Return",
-    "Stmt",
-    "Ternary",
-    "Token",
-    "Unary",
-    "While",
-    "build_cfg",
-    "compute_atomically_executed",
-    "expr_text",
-    "find_thread_entries",
-    "iter_method_statements",
-    "parse_program",
-    "statement_call",
-    "tokenize",
-]
+"""Mini-language frontend: lexer, parser, syntax records and control-flow graphs."""

@@ -24,7 +24,7 @@ from .syntax import (
     statement_call,
 )
 
-__all__ = ["NodeKind", "CfgNode", "Cfg", "build_cfg"]
+__all__ = ["NodeKind", "CfgNode", "build_cfg"]
 
 
 class NodeKind(enum.Enum):
@@ -38,10 +38,6 @@ class NodeKind(enum.Enum):
 class CfgNode(Record):
     # result_var: the variable receiving the call result
     __slots__ = ("index", "kind", "line", "succ", "call", "result_var", "stmt")
-
-
-class Cfg(Record):
-    __slots__ = ("method", "nodes")
 
 
 class _Builder:
@@ -136,23 +132,23 @@ class _Builder:
             exits = s_exits
         return entry, exits
 
-    def build(self) -> Cfg:
+    def build(self) -> list[CfgNode]:
         entry = self.new_node(NodeKind.ENTRY, self.method.line)
         b_entry, exits = self.lower_seq(self.method.body.stmts)
         if b_entry is None:
             ret = self.new_node(NodeKind.RETURN, self.method.line)
             entry.succ.append(ret.index)
-            return Cfg(method=self.method, nodes=self.nodes)
+            return self.nodes
         entry.succ.append(b_entry)
         if exits:
             ret = self.new_node(NodeKind.RETURN, self.method.line)
             for e in exits:
                 self._wire(e, ret.index)
-        return Cfg(method=self.method, nodes=self.nodes)
+        return self.nodes
 
 
-def build_cfg(method: MethodDecl) -> Cfg:
-    """Build the control-flow graph of one method body.
+def build_cfg(method: MethodDecl) -> list[CfgNode]:
+    """The control-flow graph of one method body, as its nodes by index.
 
     The graph has exactly one entry node (index 0) and at least one return
     node; every path from the entry reaches a return unless it loops forever.

@@ -17,8 +17,10 @@ comes as one fused `("call", "x", line, column, "m")` tuple (see `lexer`),
 which `call_statement` turns into the statement in one step: a block's loop
 calls it for such a tuple directly, `statement` elsewhere.  Anywhere else it
 parses as the six tokens it stands for: `primary` takes it as the call and
-leaves the `;` in its slot, and a bare name or a call nested too deep
-splits it into the six (`_Parser.unfuse`).
+leaves the `;` in its slot, and where a bare name goes `expect` splits it
+into the six (`_Parser.unfuse`).  With no nesting level left for its
+argument list, `call_statement` and `primary` raise the error the six
+tokens would, at the `(`.
 
 Blocks, `if`/`while` bodies, expressions, call argument lists, unary
 operators and each `&&`/`||`, `+`/`-` and `*` of an operator chain nest at
@@ -60,6 +62,7 @@ from .syntax import (
 __all__ = ["iter_method_statements", "parse_program", "statement_call"]
 
 MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 _COMPARISONS = frozenset({"==", "!=", "<=", ">=", "<", ">"})
 
@@ -109,7 +112,7 @@ class _Parser:
         saved depth (errors end the parse)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+            raise self.error(_TOO_DEEP)
 
     def expect(self, kind: str, text: str | None = None) -> _Lexeme:
         t = self.tokens[self.pos]
@@ -122,13 +125,12 @@ class _Parser:
         want = text if text is not None else kind
         raise self.error(f"expected {want!r}, found {t[1]!r}")
 
-    def unfuse(self) -> _Lexeme:
+    def unfuse(self) -> None:
         """Put the six tokens of the fused call statement at `pos` in its
-        place, and return the first.  Only a syntax error follows: this is
-        called where the `.` after the receiver is one, or past
-        `MAX_NESTING`, so a parse moves the token list at most once."""
+        place.  Only a syntax error follows: this is called where the `.`
+        after the receiver is one, so a parse moves the token list at most
+        once."""
         self.tokens[self.pos : self.pos + 1] = unfuse(self.tokens[self.pos])
-        return self.tokens[self.pos]
 
     # -- declarations ------------------------------------------------------
 
@@ -206,11 +208,10 @@ class _Parser:
         self.expect("punct", "{")
         stmts: list[Stmt] = []
         tokens = self.tokens
-        # a fused call statement in one step, if a call's argument list has room
-        call_statement = self.call_statement if self.depth < MAX_NESTING else None
+        call_statement = self.call_statement
         while True:
             t = tokens[self.pos]
-            if t[0] == "call" and call_statement:
+            if t[0] == "call":
                 stmts.append(call_statement(t))
             elif t[0] == "punct" and t[1] == "}":
                 break
@@ -222,6 +223,8 @@ class _Parser:
 
     def call_statement(self, t: _Lexeme) -> ExprStmt:
         """The commonest statement, `x.m();`, from its fused tuple `t` at `pos`."""
+        if self.depth >= MAX_NESTING:  # no level left for the argument list
+            raise self.error(_TOO_DEEP, unfuse(t)[3])
         self.pos += 1
         line = t[2]
         call = Call(t[1], t[4], (), line, t[3])
@@ -233,9 +236,7 @@ class _Parser:
         t = self.tokens[self.pos]
         self.line = line = t[2]
         if t[0] == "call":
-            if self.depth < MAX_NESTING:  # the argument list's level
-                return self.call_statement(t)
-            t = self.unfuse()
+            return self.call_statement(t)
         if t[0] == "ident":  # most other statements: a call, assignment or increment
             self.pos += 1
             name = t[1]
@@ -402,12 +403,11 @@ class _Parser:
                 return self.call_suffix(t[1], t)
             return Name(t[1])
         if kind == "call":  # `x.m()`, and its statement's `;` left in its slot
-            if self.depth < MAX_NESTING:  # the argument list's level
-                self.tokens[self.pos] = unfuse(t)[-1]
-                return Call(t[1], t[4], (), t[2], t[3])
-            self.unfuse()
-            self.pos += 1
-            return self.call_suffix(t[1], t)  # the nesting error, at the `(`
+            six = unfuse(t)
+            if self.depth >= MAX_NESTING:  # no level left for the argument list
+                raise self.error(_TOO_DEEP, six[3])
+            self.tokens[self.pos] = six[5]
+            return Call(t[1], t[4], (), t[2], t[3])
         if kind == "int":
             self.pos += 1
             try:

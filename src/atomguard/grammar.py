@@ -159,7 +159,7 @@ def _shared_lowering() -> Iterator[None]:
 
 def _lower(program: Program, method: MethodDecl) -> _Lowered:
     name = method.name
-    cfg_nodes = build_cfg(method).nodes
+    cfg_nodes = build_cfg(method)
     syms = [f"{name}.{i}" for i in range(len(cfg_nodes))]  # node symbols `f.3`
     file = program.source_name
     nodes = []

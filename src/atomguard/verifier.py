@@ -1,6 +1,6 @@
-"""Contract checking: drive grammar extraction and subword parsing, classify
-each found occurrence by whether its lowest common ancestor method is
-atomically executed, and render reports.
+"""Contract checking: find the thread entries, drive grammar extraction and
+subword parsing, classify each found occurrence by whether its lowest common
+ancestor method is atomically executed, and render reports.
 
 A check is one stream of records: `grammar_stage` yields a `Task` per
 grammar, `simplify_stage` simplifies it, `search_stage` turns it into a
@@ -15,8 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .contracts import MAX_CLAUSE_LEN, CallSequence, expand_clause, parse_contract
 from .errors import AtomguardError, NoEntryPointsError
-from .frontend.analysis import compute_atomically_executed, find_thread_entries
-from .frontend.syntax import ClassDecl, Program
+from .frontend.syntax import ClassDecl, MethodDecl, Program
 from .glr import (
     ParseStats,
     build_parse_table,
@@ -53,6 +52,8 @@ __all__ = [
     "verify_with_stats",
     "check_unification",
     "render_report",
+    "find_thread_entries",
+    "compute_atomically_executed",
 ]
 
 
@@ -107,6 +108,46 @@ def check_unification(sequence: CallSequence, sites: Sequence[CallSite]) -> bool
                 if not bind(pat, text):
                     return False
     return True
+
+
+def find_thread_entries(program: Program) -> list[MethodDecl]:
+    """Client methods that start threads: `thread` methods plus `main`."""
+    entries = []
+    for name in sorted(program.client_methods):
+        m = program.client_methods[name]
+        if m.is_thread or m.name == "main":
+            entries.append(m)
+    return entries
+
+
+def compute_atomically_executed(program: Program) -> set[str]:
+    """Greatest fixpoint of the atomically-executed client methods.
+
+    A method is atomically executed when it is atomic itself, or when it is
+    called somewhere and every caller is atomically executed.  Thread entry
+    methods run with no caller, so a non-atomic entry is never in the set;
+    so is a method with no call sites at all.
+    """
+    entries = {m.name for m in find_thread_entries(program)}
+    callers: dict[str, list[str]] = {name: [] for name in program.client_methods}
+    for name, calls in program.calls.items():
+        for call in calls:
+            if call.receiver is None:
+                callers[call.method].append(name)
+    methods = program.client_methods
+    ae = set(methods)
+    changed = True
+    while changed:
+        changed = False
+        for name, m in methods.items():
+            if name not in ae:
+                continue
+            if m.is_atomic:
+                continue
+            if name in entries or not callers[name] or any(c not in ae for c in callers[name]):
+                ae.discard(name)
+                changed = True
+    return ae
 
 
 class _Unit(Record):

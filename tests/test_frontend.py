@@ -18,8 +18,8 @@ from atomguard import (
     parse_program,
     verify,
 )
-from atomguard.frontend import NodeKind, build_cfg, tokenize
-from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan
+from atomguard.frontend.cfg import NodeKind, build_cfg
+from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan, tokenize
 from atomguard.frontend.syntax import Block, If, Return, While
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
@@ -306,8 +306,12 @@ def test_parse_matches_reference_on_one_token_mutations():
 @pytest.mark.parametrize("depth", [98, 99, 100])
 def test_call_statements_at_the_nesting_limit_parse_like_reference(depth):
     # a call's argument list opens a level of its own, whichever way the
-    # parser reads the statement
-    stmts = ("m.a();", "m.a(1);", "m.a()", "m.a(;", "m.;", "m . a ( ) ;", "a();", "y = m.a();")
+    # parser reads the statement: in a block, as an `if` or `while` body, or
+    # as an expression
+    stmts = (
+        "m.a();", "m.a(1);", "m.a()", "m.a(;", "m.;", "m . a ( ) ;", "a();", "y = m.a();",
+        "if (cond) m.a();", "while (cond) m.a();",
+    )
     for stmt in stmts:
         body = "{" * depth + stmt + "}" * depth
         assert_parses_like_reference(client(f"  void a() {{ }}\n  thread void t() {{\n{body}\n  }}"))
@@ -320,7 +324,7 @@ def test_call_statements_at_the_nesting_limit_parse_like_reference(depth):
 def test_cfg_branch_shape():
     prog = load_program("recursive_pair.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    kinds = [n.kind for n in cfg.nodes]
+    kinds = [n.kind for n in cfg]
     assert kinds == [
         NodeKind.ENTRY,
         NodeKind.MODULE_CALL,
@@ -329,36 +333,36 @@ def test_cfg_branch_shape():
         NodeKind.MODULE_CALL,
         NodeKind.RETURN,
     ]
-    assert cfg.nodes[1].call.method == "a"
-    assert set(cfg.nodes[2].succ) == {3, 4}, "branch must fork to both arms"
-    assert cfg.nodes[3].succ == [4], "then-arm rejoins before the final call"
-    assert cfg.nodes[4].call.method == "b"
+    assert cfg[1].call.method == "a"
+    assert set(cfg[2].succ) == {3, 4}, "branch must fork to both arms"
+    assert cfg[3].succ == [4], "then-arm rejoins before the final call"
+    assert cfg[4].call.method == "b"
 
 
 def test_cfg_loop_shape():
     prog = load_program("loop_branch.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    assert len(cfg.nodes) == 8
-    head = cfg.nodes[1]
+    assert len(cfg) == 8
+    head = cfg[1]
     assert head.kind is NodeKind.MODULE_CALL and head.call.method == "a"
     assert set(head.succ) == {2, 6}, "loop head exits to body and to the tail"
-    assert cfg.nodes[5].succ == [1], "loop body wires back to the head"
-    assert cfg.nodes[6].call.method == "d"
-    assert cfg.nodes[7].kind is NodeKind.RETURN
+    assert cfg[5].succ == [1], "loop body wires back to the head"
+    assert cfg[6].call.method == "d"
+    assert cfg[7].kind is NodeKind.RETURN
 
 
 def test_cfg_empty_body():
     prog = parse_program(client("  thread void f() { }"), "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    assert [n.kind for n in cfg.nodes] == [NodeKind.ENTRY, NodeKind.RETURN]
-    assert cfg.nodes[0].succ == [1]
+    assert [n.kind for n in cfg] == [NodeKind.ENTRY, NodeKind.RETURN]
+    assert cfg[0].succ == [1]
 
 
 def test_cfg_return_statement_has_no_successors():
     src = client("  thread void f() { m.a(); return; m.b(); }")
     prog = parse_program(src, "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    explicit = [n for n in cfg.nodes if n.kind is NodeKind.RETURN and n.stmt is not None]
+    explicit = [n for n in cfg if n.kind is NodeKind.RETURN and n.stmt is not None]
     assert len(explicit) == 1
     assert explicit[0].succ == []
 
@@ -367,14 +371,14 @@ def test_cfg_result_variable_recorded():
     src = client("  thread void f() { var x = m.a(); }")
     prog = parse_program(src, "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    call_node = next(n for n in cfg.nodes if n.kind is NodeKind.MODULE_CALL)
+    call_node = next(n for n in cfg if n.kind is NodeKind.MODULE_CALL)
     assert call_node.result_var == "x"
 
 
 def assert_cfg_like_reference(method) -> int:
     """`build_cfg` gives the reference's nodes, field by field; returns how
     many nodes were compared."""
-    got = build_cfg(method).nodes
+    got = build_cfg(method)
     want = reference_build_cfg(method)
     assert len(got) == len(want), method.name
     for g, w in zip(got, want):
@@ -418,7 +422,7 @@ def test_cfg_matches_reference_on_generated_programs():
         text, _ = random_program(random.Random(seed))
         for method in parse_program(text, f"seed{seed}.mg").client_methods.values():
             assert_cfg_like_reference(method)
-            kinds |= {(type(n.stmt), n.kind) for n in build_cfg(method).nodes}
+            kinds |= {(type(n.stmt), n.kind) for n in build_cfg(method)}
     assert len(kinds) >= 8, "calls, plain statements, branches, loops and returns"
 
 
@@ -478,14 +482,14 @@ def _paths_seq(stmts, bound):
 def assert_cfg_covers_paths(method):
     cfg = build_cfg(method)
     implicit = next(
-        (n for n in cfg.nodes if n.kind is NodeKind.RETURN and n.stmt is None), None
+        (n for n in cfg if n.kind is NodeKind.RETURN and n.stmt is None), None
     )
     paths = _paths_seq(method.body.stmts, _LOOP_BOUND)
     assert paths
     for stmts, fell_through in paths:
-        nodes = [cfg.nodes[0]]
+        nodes = [cfg[0]]
         for s in stmts:
-            node = next((n for n in cfg.nodes if n.stmt is s), None)
+            node = next((n for n in cfg if n.stmt is s), None)
             assert node is not None, f"{method.name}: statement without a node"
             nodes.append(node)
         if fell_through:

@@ -29,7 +29,7 @@ from atomguard import (
     simplify_stage,
     symbol_method,
 )
-from atomguard.frontend import build_cfg
+from atomguard.frontend.cfg import build_cfg
 from atomguard.frontend.syntax import While
 from atomguard.grammar import _reachable_methods, site_restrictor
 from atomguard.pointsto import module_alloc_sites
@@ -419,7 +419,7 @@ def assert_single_rule_heads_form_no_cycle(prog) -> tuple[int, int, int]:
     carrying a base grammar and of `while` nodes."""
     loops = 0
     for method in prog.client_methods.values():
-        for node in build_cfg(method).nodes:
+        for node in build_cfg(method):
             if node.stmt.__class__ is While:
                 assert len(node.succ) == 2 and node.succ[0] != node.succ[1], (method.name, node)
                 loops += 1

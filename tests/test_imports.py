@@ -1,8 +1,8 @@
 """Every name a package module imports is read in that module, every name
-it exports is bound there, every private top-level name is read somewhere in
-the package, no record writes out the constructor `Record` derives, the
-command line starts without the reflection modules, and the README's API
-snippets run."""
+it exports is bound there and, but for the package's `__init__`, defined
+there, every private top-level name is read somewhere in the package, no
+record writes out the constructor `Record` derives, the command line starts
+without the reflection modules, and the README's API snippets run."""
 
 from __future__ import annotations
 
@@ -63,23 +63,30 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unbound_exports(source: str) -> list[str]:
-    """Names in the module's `__all__` that no top-level statement binds."""
-    tree = ast.parse(source)
-    bound: set[str] = set()
+def top_level_names(source: str) -> tuple[list[str], set[str], set[str]]:
+    """The module's `__all__`, the names its top-level definitions and
+    assignments bind, and the names its top-level imports bind."""
+    defined: set[str] = set()
+    imported: set[str] = set()
     exported: list[str] = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
+            defined.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = {t.id for t in targets if isinstance(t, ast.Name)}
-            bound |= names
+            defined |= names
             if "__all__" in names:
                 exported = ast.literal_eval(node.value)
-    return [name for name in exported if name not in bound]
+    return exported, defined, imported
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in the module's `__all__` that no top-level statement binds."""
+    exported, defined, imported = top_level_names(source)
+    return [name for name in exported if name not in defined | imported]
 
 
 def test_unbound_exports_are_found():
@@ -96,6 +103,41 @@ def test_unbound_exports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def reexports(source: str) -> list[str]:
+    """Names in the module's `__all__` that it does not define: it passes on
+    what another module defines."""
+    exported, defined, _ = top_level_names(source)
+    return [name for name in exported if name not in defined]
+
+
+def test_reexports_are_found():
+    source = (
+        "from .x import y, w\n"
+        "import z\n"
+        "w = 2\n"
+        "Z: int = 1\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "__all__ = ['y', 'z', 'w', 'Z', 'f', 'C']\n"
+    )
+    assert reexports(source) == ["y", "z"]
+
+
+# `atomguard/__init__.py`, the public API, re-exports by design and is not
+# checked; `bench/test_bench.py` imports `statement_call` from the parser.
+ALLOWED_REEXPORTS = {"frontend/parser.py": {"statement_call"}}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p != PACKAGE / "__init__.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_every_export_is_defined_in_its_module(path):
+    allowed = ALLOWED_REEXPORTS.get(path.relative_to(PACKAGE).as_posix(), set())
+    assert [name for name in reexports(path.read_text(encoding="utf-8")) if name not in allowed] == []
 
 
 def copy_only_inits(source: str) -> list[str]:
