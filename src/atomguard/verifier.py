@@ -62,12 +62,6 @@ class Violation(HashableRecord):
         "clause", "word", "thread", "site", "calls", "lca_symbol", "lca_method", "suggestion"
     )
 
-    @property
-    def identity(self) -> tuple:
-        """What makes two violations the same report."""
-        return (self.thread, self.word, self.lca_method,
-                tuple([(c.file, c.line) for c in self.calls]))
-
 
 class RunStats(Record):
     __slots__ = ("grammars", "trees", "branches")
@@ -328,7 +322,6 @@ def classify_stage(
     counters.  Each tree's call sites are read from its check's grammar."""
     ae = compute_atomically_executed(program)
     unsafe: dict[str, Optional[str]] = {}  # tree symbol -> its method, unless atomically executed
-    suggestions: dict[str, str] = {}  # method -> the suggestion to make it atomic
     stats = RunStats()
     # (sort key, violation); a program's call sites share one file, so an
     # occurrence's lines stand for its sites in its identity and its sort key
@@ -352,8 +345,6 @@ def classify_stage(
                     method = symbol_method(symbol)
                     if method in ae:
                         method = None
-                    elif method is not None:
-                        suggestions.setdefault(method, f"make {method} atomic")
                     unsafe[symbol] = method
                 if method is None:
                     continue
@@ -366,7 +357,8 @@ def classify_stage(
                     continue
                 seen.add(identity)
                 deduped.append(((thread, clause.text, methods, lines), Violation(
-                    clause.text, methods, thread, site, calls, symbol, method, suggestions[method]
+                    clause.text, methods, thread, site, calls, symbol, method,
+                    f"make {method} atomic",
                 )))
 
     deduped.sort(key=itemgetter(0))

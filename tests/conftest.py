@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from atomguard import Program, parse_program
+from atomguard import parse_program
+from atomguard.frontend.syntax import Program
 
 PACKAGE_DATA = Path(__file__).resolve().parent.parent / "src" / "atomguard" / "data"
 PROGRAMS = PACKAGE_DATA / "programs"

@@ -21,19 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from atomguard import (
-    AtomguardError,
-    BehaviorGrammar,
-    CallSite,
-    DuplicateMethodError,
-    ParseStats,
-    ParseTable,
-    ParseTree,
-    Production,
-    Program,
-    SourceSyntaxError,
-    UnresolvedMethodError,
-)
+from atomguard import AtomguardError
+from atomguard.errors import DuplicateMethodError, SourceSyntaxError, UnresolvedMethodError
 from atomguard.frontend.cfg import NodeKind
 from atomguard.frontend.lexer import KEYWORDS, PUNCT, Token, tokenize
 from atomguard.frontend.parser import MAX_NESTING, iter_method_statements, statement_call
@@ -53,6 +42,7 @@ from atomguard.frontend.syntax import (
     Name,
     New,
     Param,
+    Program,
     Return,
     Stmt,
     Ternary,
@@ -63,10 +53,13 @@ from atomguard.frontend.syntax import (
 from atomguard.grammar import (
     EPSILON,
     SCOPE_START_PREFIX,
+    BehaviorGrammar,
+    CallSite,
+    Production,
     _method_symbol,
     _reachable_methods,
 )
-from atomguard.glr import AUGMENTED_HEAD
+from atomguard.glr import AUGMENTED_HEAD, ParseStats, ParseTable, ParseTree
 from atomguard.pointsto import RETURN_SLOT, AllocationSite, PointsToResult
 
 

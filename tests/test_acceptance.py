@@ -13,19 +13,11 @@ import random
 import time
 
 import conftest
-from atomguard import (
-    build_behavior_grammar,
-    build_parse_table,
-    compute_atomically_executed,
-    expand_clause,
-    parse_contract,
-    parse_program,
-    parse_subword_until_lca,
-    simplify_grammar,
-    symbol_method,
-    verify,
-    verify_with_stats,
-)
+from atomguard import parse_program, verify, verify_with_stats
+from atomguard.contracts import expand_clause, parse_contract
+from atomguard.glr import build_parse_table, parse_subword_until_lca
+from atomguard.grammar import build_behavior_grammar, simplify_grammar, symbol_method
+from atomguard.verifier import compute_atomically_executed
 from conftest import CORPUS, load_program
 from generators import random_program, random_word, two_receivers
 from goldens import (

@@ -7,14 +7,12 @@ import random
 import pytest
 
 import atomguard.contracts
-from atomguard import (
-    CallAtom,
+from atomguard.contracts import CallAtom, expand_clause, parse_contract
+from atomguard.errors import (
     ClauseTooLongError,
     ContractError,
     StarNotAllowedError,
     UnknownMethodError,
-    expand_clause,
-    parse_contract,
 )
 from conftest import deadline
 from oracles import clause_words

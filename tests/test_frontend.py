@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomguard import (
+from atomguard import parse_program, verify
+from atomguard.errors import (
     DuplicateMethodError,
     NoEntryPointsError,
     SourceSyntaxError,
     UnresolvedMethodError,
-    compute_atomically_executed,
-    find_thread_entries,
-    parse_program,
-    verify,
 )
 from atomguard.frontend.cfg import NodeKind, build_cfg
 from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan, tokenize
 from atomguard.frontend.syntax import Block, If, Return, While
+from atomguard.verifier import compute_atomically_executed, find_thread_entries
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
 from oracles import (

@@ -12,19 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomguard import (
+from atomguard import parse_program, verify_with_stats
+from atomguard.glr import (
     ParseStats,
     ParseTable,
-    build_behavior_grammar,
     build_parse_table,
     dump_tree,
-    parse_program,
     parse_subword_until_lca,
-    simplify_grammar,
-    symbol_method,
     tree_sites,
-    verify_with_stats,
 )
+from atomguard.grammar import build_behavior_grammar, simplify_grammar, symbol_method
 from atomguard.verifier import grammar_stage, search_stage, simplify_stage
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program

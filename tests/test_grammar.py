@@ -12,27 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atomguard.grammar
-from atomguard import (
-    AtomguardError,
+from atomguard import AtomguardError, grammar_stage, parse_program, simplify_stage
+from atomguard.contracts import parse_contract
+from atomguard.frontend.cfg import build_cfg
+from atomguard.frontend.syntax import While
+from atomguard.grammar import (
     BehaviorGrammar,
     CallSite,
     Production,
+    _reachable_methods,
     build_behavior_grammar,
     build_behavior_grammar_pointsto,
     build_class_scope_grammar,
-    compute_pointsto,
     dump_grammar,
-    grammar_stage,
-    parse_contract,
-    parse_program,
     simplify_grammar,
-    simplify_stage,
+    site_restrictor,
     symbol_method,
 )
-from atomguard.frontend.cfg import build_cfg
-from atomguard.frontend.syntax import While
-from atomguard.grammar import _reachable_methods, site_restrictor
-from atomguard.pointsto import module_alloc_sites
+from atomguard.pointsto import compute_pointsto, module_alloc_sites
 from atomguard.verifier import _grammar, _units
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program, two_receivers

@@ -1,8 +1,9 @@
-"""Every name a package module imports is read in that module, every name
-it exports is bound there and, but for the package's `__init__`, defined
-there, every private top-level name is read somewhere in the package, no
-record writes out the constructor `Record` derives, the command line starts
-without the reflection modules, and the README's API snippets run."""
+"""The package exports its entry points alone, every name a package module
+imports is read in that module, every name it exports is bound there and,
+but for the package's `__init__`, defined there, every private top-level
+name is read somewhere in the package, no record writes out the constructor
+`Record` derives, the command line starts without the reflection modules,
+and the README's API snippets run."""
 
 from __future__ import annotations
 
@@ -16,11 +17,31 @@ import sys
 
 import pytest
 
+import atomguard
 from conftest import CORPUS, PACKAGE_DATA
 
 PACKAGE = PACKAGE_DATA.parent
 README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+# parse, check (whole or stage by stage), report, and the error a check raises;
+# every other public name is imported from the module that defines it
+ENTRY_POINTS = [
+    "AtomguardError",
+    "classify_stage",
+    "grammar_stage",
+    "parse_program",
+    "render_report",
+    "search_stage",
+    "simplify_stage",
+    "verify",
+    "verify_with_stats",
+]
+
+
+def test_the_package_exports_its_entry_points_alone():
+    assert sorted(atomguard.__all__) == ENTRY_POINTS
 
 
 def unused_imports(source: str) -> list[str]:

@@ -10,29 +10,8 @@ import pytest
 
 import atomguard
 
-from atomguard import (
-    AllocationSite,
-    BehaviorGrammar,
-    CallAtom,
-    CallSequence,
-    CallSite,
-    CfgNode,
-    Check,
-    Clause,
-    Contract,
-    MethodDecl,
-    ParseStats,
-    ParseTable,
-    ParseTree,
-    PointsToResult,
-    Production,
-    Program,
-    RunStats,
-    Task,
-    Violation,
-    compute_pointsto,
-    parse_program,
-)
+from atomguard import parse_program
+from atomguard.frontend.cfg import CfgNode
 from atomguard.frontend.lexer import Token
 from atomguard.frontend.syntax import (
     Assign,
@@ -45,18 +24,32 @@ from atomguard.frontend.syntax import (
     If,
     Increment,
     IntLit,
+    MethodDecl,
     Name,
     New,
     Param,
+    Program,
     Return,
     Ternary,
     Unary,
     While,
 )
-from atomguard.contracts import _Group, _Seq
-from atomguard.grammar import SiteDrop, _LoweredNode
+from atomguard.contracts import CallAtom, CallSequence, Clause, Contract, _Group, _Seq
+from atomguard.glr import ParseStats, ParseTable, ParseTree
+from atomguard.grammar import BehaviorGrammar, CallSite, Production, SiteDrop, _LoweredNode
+from atomguard.pointsto import AllocationSite, PointsToResult, compute_pointsto
 from atomguard.records import HashableRecord, Record
-from atomguard.verifier import _Unit, classify_stage, grammar_stage, search_stage, simplify_stage
+from atomguard.verifier import (
+    Check,
+    RunStats,
+    Task,
+    Violation,
+    _Unit,
+    classify_stage,
+    grammar_stage,
+    search_stage,
+    simplify_stage,
+)
 from conftest import CORPUS
 
 # (class, its fields in constructor order, the defaults of the trailing ones)

@@ -3,10 +3,11 @@
 Each run is `atomguard check` on one program, named by its path relative to
 its own directory and run from there, under one flag set and in one format:
 the plain text report, `--dump-trees --format json`, and, for the bundled
-programs only, `--dump-grammar --dump-table`.  `report_digests.json` holds
-the sha256 of each run's exit code, stdout and stderr, with the search's
-`"branches"` count masked, so a refactor that keeps every report keeps every
-digest and a failure names the runs whose bytes moved.
+programs only, `--dump-grammar --dump-table` and all three dumps in text.
+`report_digests.json` holds the sha256 of each run's exit code, stdout and
+stderr, with the search's `"branches"` count masked, so a refactor that
+keeps every report keeps every digest and a failure names the runs whose
+bytes moved.
 
 A change that moves a report on purpose refreezes the file with
 
@@ -39,7 +40,9 @@ FORMATS = {
     "text": [],
     "trees-json": ["--dump-trees", "--format", "json"],
     "grammar-table": ["--dump-grammar", "--dump-table"],
+    "all-dumps": ["--dump-grammar", "--dump-table", "--dump-trees"],
 }
+BUNDLED_ONLY = {"grammar-table", "all-dumps"}
 SEEDS = range(200)
 BRANCHES = re.compile(r'"branches": \d+')
 
@@ -87,7 +90,7 @@ def digest(path: Path, argv: list[str]) -> str:
 
 def runs(directory: Path, flags: str, fmt: str) -> list[tuple[str, Path, list[str]]]:
     """(key, path, argv) of each run under one flag set and format."""
-    programs = bundled() if fmt == "grammar-table" else bundled() + generated(directory)
+    programs = bundled() if fmt in BUNDLED_ONLY else bundled() + generated(directory)
     return [(f"{key} {flags} {fmt}", path, [*FLAG_SETS[flags], *FORMATS[fmt]])
             for key, path in programs]
 
@@ -107,7 +110,7 @@ def frozen() -> dict[str, str]:
 @pytest.mark.parametrize("flags", FLAG_SETS)
 def test_reports_match_frozen_digests(flags, fmt, frozen, tmp_path):
     todo = runs(tmp_path, flags, fmt)
-    assert len(todo) == (37 if fmt == "grammar-table" else 437)
+    assert len(todo) == (37 if fmt in BUNDLED_ONLY else 437)
     suffix = f" {flags} {fmt}"
     assert sorted(key for key, _, _ in todo) == sorted(k for k in frozen if k.endswith(suffix))
     moved = [key for key, path, argv in todo if digest(path, argv) != frozen[key]]
@@ -115,7 +118,7 @@ def test_reports_match_frozen_digests(flags, fmt, frozen, tmp_path):
 
 
 def test_every_frozen_run_is_run(frozen):
-    assert len(frozen) == 3 * (2 * 437 + 37)
+    assert len(frozen) == 3 * (2 * 437 + 2 * 37)
 
 
 if __name__ == "__main__":

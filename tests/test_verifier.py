@@ -9,14 +9,8 @@ import pytest
 
 import atomguard.grammar
 
-from atomguard import (
-    AtomguardError,
-    compute_atomically_executed,
-    parse_program,
-    render_report,
-    verify,
-    verify_with_stats,
-)
+from atomguard import AtomguardError, parse_program, render_report, verify, verify_with_stats
+from atomguard.verifier import compute_atomically_executed
 from conftest import CORPUS, load_program
 from goldens import BRANCHING_CLIENT_REPORT
 
