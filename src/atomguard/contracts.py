@@ -26,7 +26,6 @@ __all__ = [
     "CallAtom",
     "CallSequence",
     "Clause",
-    "Contract",
     "parse_contract",
     "expand_clause",
 ]
@@ -77,10 +76,6 @@ class CallSequence(HashableRecord):
 
 class Clause(HashableRecord):
     __slots__ = ("text", "seq")
-
-
-class Contract(HashableRecord):
-    __slots__ = ("clauses",)
 
 
 # --------------------------------------------------------------------------
@@ -258,8 +253,9 @@ def parse_clause(text: str, module_methods: frozenset[str] | set[str]) -> Clause
     return Clause(text=text, seq=seq)
 
 
-def parse_contract(text: str, module_methods: frozenset[str] | set[str]) -> Contract:
-    """Parse an annotation body: a `;`-separated list of quoted clauses."""
+def parse_contract(text: str, module_methods: frozenset[str] | set[str]) -> tuple[Clause, ...]:
+    """The clauses of an annotation body: a `;`-separated list of quoted
+    clauses."""
     clauses: list[Clause] = []
     rest = text.strip()
     while rest:
@@ -274,7 +270,7 @@ def parse_contract(text: str, module_methods: frozenset[str] | set[str]) -> Cont
             rest = rest[1:].lstrip()
         elif rest:
             raise ContractError(f"expected ';' between clauses, found {rest[:20]!r}")
-    return Contract(clauses=tuple(clauses))
+    return tuple(clauses)
 
 
 # --------------------------------------------------------------------------

@@ -2,13 +2,11 @@
 
 Every statement that performs a call gets its own node, so each node carries
 at most one call.  Branch nodes keep their successor order stable: branch
-body first, fall-through last.
+body first, fall-through last.  A return, written or the one a body falls
+through to, is the one kind of node without successors.
 """
 
 from __future__ import annotations
-
-import enum
-from typing import Optional
 
 from ..records import Record
 from .syntax import (
@@ -24,100 +22,66 @@ from .syntax import (
     statement_call,
 )
 
-__all__ = ["NodeKind", "CfgNode", "build_cfg"]
-
-
-class NodeKind(enum.Enum):
-    ENTRY = "entry"
-    RETURN = "return"
-    MODULE_CALL = "module_call"
-    CLIENT_CALL = "client_call"
-    OTHER = "other"
+__all__ = ["CfgNode", "build_cfg"]
 
 
 class CfgNode(Record):
+    # call: the statement's call, if it makes one
     # result_var: the variable receiving the call result
-    __slots__ = ("index", "kind", "line", "succ", "call", "result_var", "stmt")
+    __slots__ = ("index", "succ", "call", "result_var")
 
 
 class _Builder:
-    def __init__(self, method: MethodDecl):
-        self.method = method
-        self.nodes: list[CfgNode] = []
+    def __init__(self) -> None:
+        self.nodes: list[CfgNode] = [CfgNode(0, [], None, None)]  # the entry
 
-    def new_node(self, kind: NodeKind, line: int, stmt: Stmt | None = None) -> CfgNode:
-        node = CfgNode(len(self.nodes), kind, line, [], None, None, stmt)
-        self.nodes.append(node)
-        return node
-
-    def stmt_node(self, stmt: Stmt) -> CfgNode:
-        """The node of a statement other than a block or return, carrying the
-        statement's call if it makes one."""
-        call = statement_call(stmt)
-        if call is None:
-            return self.new_node(NodeKind.OTHER, stmt.line, stmt)
-        kind = NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
-        result_var = stmt.target if stmt.__class__ is Assign else None
-        node = CfgNode(len(self.nodes), kind, stmt.line, [], call, result_var, stmt)
-        self.nodes.append(node)
-        return node
-
-    def lower_stmt(self, stmt: Stmt) -> tuple[Optional[int], list[int]]:
+    def lower_stmt(self, stmt: Stmt) -> tuple[int | None, list[int]]:
         """Returns (entry index or None if the statement is empty, exits).
 
         Exits are node indexes whose successor list still needs the index of
         whatever comes next.
         """
+        nodes = self.nodes
+        index = len(nodes)
         if stmt.__class__ is ExprStmt:  # the commonest statement, a call
-            call = stmt.call
-            index = len(self.nodes)
-            kind = NodeKind.MODULE_CALL if call.receiver is not None else NodeKind.CLIENT_CALL
-            self.nodes.append(CfgNode(index, kind, stmt.line, [], call, None, stmt))
+            nodes.append(CfgNode(index, [], stmt.call, None))
             return index, [index]
         if isinstance(stmt, Block):
             return self.lower_seq(stmt.stmts)
         if isinstance(stmt, Return):
-            node = self.new_node(NodeKind.RETURN, stmt.line, stmt)
-            return node.index, []
+            nodes.append(CfgNode(index, [], None, None))
+            return index, []
+        if not isinstance(stmt, (If, While, Assign, Increment)):
+            raise TypeError(f"not a statement: {stmt!r}")
+        call = statement_call(stmt)
+        result_var = stmt.target if call is not None and stmt.__class__ is Assign else None
+        node = CfgNode(index, [], call, result_var)
+        nodes.append(node)
         if isinstance(stmt, If):
-            node = self.stmt_node(stmt)
             exits: list[int] = []
-            t_entry, t_exits = self.lower_stmt(stmt.then)
-            if t_entry is None:
-                exits.append(node.index)
-            else:
-                node.succ.append(t_entry)
-                exits.extend(t_exits)
-            if stmt.orelse is None:
-                exits.append(node.index)
-            else:
-                e_entry, e_exits = self.lower_stmt(stmt.orelse)
-                if e_entry is None:
-                    exits.append(node.index)
+            for branch in (stmt.then, stmt.orelse):
+                b_entry, b_exits = (None, []) if branch is None else self.lower_stmt(branch)
+                if b_entry is None:  # no branch, or an empty one: falls through
+                    exits.append(index)
                 else:
-                    node.succ.append(e_entry)
-                    exits.extend(e_exits)
-            return node.index, exits
+                    node.succ.append(b_entry)
+                    exits.extend(b_exits)
+            return index, exits
         if isinstance(stmt, While):
-            node = self.stmt_node(stmt)
             b_entry, b_exits = self.lower_stmt(stmt.body)
-            self._wire(node.index, b_entry if b_entry is not None else node.index)
+            node.succ.append(b_entry if b_entry is not None else index)
             for e in b_exits:
-                self._wire(e, node.index)
-            return node.index, [node.index]
-        if isinstance(stmt, (Assign, Increment)):
-            node = self.stmt_node(stmt)
-            return node.index, [node.index]
-        raise TypeError(f"not a statement: {stmt!r}")
+                self._wire(e, index)
+        return index, [index]
 
     def _wire(self, source: int, target: int) -> None:
         succ = self.nodes[source].succ
         if target not in succ:
             succ.append(target)
 
-    def lower_seq(self, stmts: list[Stmt]) -> tuple[Optional[int], list[int]]:
+    def lower_seq(self, stmts: list[Stmt]) -> tuple[int | None, list[int]]:
         nodes = self.nodes
-        entry: Optional[int] = None
+        entry: int | None = None
         exits: list[int] = []
         for s in stmts:
             s_entry, s_exits = self.lower_stmt(s)
@@ -132,19 +96,18 @@ class _Builder:
             exits = s_exits
         return entry, exits
 
-    def build(self) -> list[CfgNode]:
-        entry = self.new_node(NodeKind.ENTRY, self.method.line)
-        b_entry, exits = self.lower_seq(self.method.body.stmts)
-        if b_entry is None:
-            ret = self.new_node(NodeKind.RETURN, self.method.line)
-            entry.succ.append(ret.index)
-            return self.nodes
-        entry.succ.append(b_entry)
-        if exits:
-            ret = self.new_node(NodeKind.RETURN, self.method.line)
+    def build(self, method: MethodDecl) -> list[CfgNode]:
+        nodes = self.nodes
+        b_entry, exits = self.lower_seq(method.body.stmts)
+        if b_entry is None or exits:  # the body falls through to a return
+            ret = len(nodes)
+            nodes.append(CfgNode(ret, [], None, None))
             for e in exits:
-                self._wire(e, ret.index)
-        return self.nodes
+                self._wire(e, ret)
+            if b_entry is None:
+                b_entry = ret
+        nodes[0].succ.append(b_entry)
+        return nodes
 
 
 def build_cfg(method: MethodDecl) -> list[CfgNode]:
@@ -153,4 +116,4 @@ def build_cfg(method: MethodDecl) -> list[CfgNode]:
     The graph has exactly one entry node (index 0) and at least one return
     node; every path from the entry reaches a return unless it loops forever.
     """
-    return _Builder(method).build()
+    return _Builder().build(method)

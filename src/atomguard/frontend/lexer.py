@@ -1,18 +1,17 @@
 """Tokenizer for the mini-language.
 
 Produces a flat list of `(kind, text, line, column)` tuples; the parser
-consumes it with one token of lookahead, and `tokenize` gives the same
-tokens as `Token` records.  Each lexeme is one string of a `findall` over
-the source, blanks before it included, and its kind is looked up by the
-whole lexeme or by its first character.  Only a lexeme that starts with a
-non-ASCII character (or an integer followed by one), an unterminated string
-or a stray character is scanned a character at a time.
+consumes it with one token of lookahead.  Each lexeme is one string of a
+`findall` over the source, blanks before it included, and its kind is
+looked up by the whole lexeme or by its first character.  Only a lexeme
+that starts with a non-ASCII character (or an integer followed by one), an
+unterminated string or a stray character is scanned a character at a time.
 
 A call statement spelled exactly `x.m();` (no blanks or comments inside,
 neither name a keyword) is one lexeme, with the newline and blanks before
 it when it starts its line, and one fused tuple
 `("call", "x", line, column, "m")`, which the parser takes in one step;
-`unfuse` gives the six tokens it stands for, and `tokenize` gives those.
+`unfuse` gives the six tokens it stands for.
 Any other newline lexeme takes the next line's blanks with it.
 """
 
@@ -21,7 +20,6 @@ from __future__ import annotations
 import re
 
 from ..errors import SourceSyntaxError
-from ..records import Record
 
 KEYWORDS = frozenset(
     {
@@ -68,11 +66,6 @@ PUNCT = (
 )
 
 
-class Token(Record):
-    # kind: "ident" | "int" | "string" | "kw" | "punct" | "eof"
-    __slots__ = ("kind", "text", "line", "column")
-
-
 # One alternative per lexeme, each after a run of blanks, and a last one for
 # any other character but a newline, so that the matches cover the source
 # (less its trailing blanks, where `_scan` stops) without gaps.  A newline
@@ -109,7 +102,8 @@ _STARTS = {
 }
 _AS_IS = frozenset({"ident", "punct", "kw"})
 
-# a `Token`'s fields, or a fused call statement's: ("call", receiver, line,
+# a token's (kind, text, line, column), kind "ident", "int", "string", "kw",
+# "punct" or "eof", or a fused call statement's ("call", receiver, line,
 # column, method)
 _Lexeme = tuple[str, str, int, int] | tuple[str, str, int, int, str]
 
@@ -209,14 +203,4 @@ def _scan(source: str, filename: str) -> list[_Lexeme]:
         else:
             break
     append(("eof", "", line, stop - line_start + 1))
-    return tokens
-
-
-def tokenize(source: str, filename: str = "<string>") -> list[Token]:
-    tokens: list[Token] = []
-    for t in _scan(source, filename):
-        if t[0] == "call":
-            tokens += [Token(*u) for u in unfuse(t)]
-        else:
-            tokens.append(Token(*t))
     return tokens

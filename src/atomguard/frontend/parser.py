@@ -138,7 +138,7 @@ class _Parser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes, source_name, {}, {}, self.calls, self.local_names, self.flows)
+        return Program(classes, source_name, {}, self.calls, self.local_names, self.flows)
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")
@@ -482,9 +482,7 @@ def _resolve(program: Program, filename: str, news: list[_New]) -> None:
                 )
             program.client_methods[m.name] = m
 
-    for c in program.modules:
-        for m in c.methods:
-            program.module_methods.setdefault(m.name, []).append(c.name)
+    module_methods = {m.name for c in program.modules for m in c.methods}
 
     # The first error in statement order: a statement's `new`s come before
     # its call.  The first `new` of an unknown class stops its method's
@@ -502,14 +500,14 @@ def _resolve(program: Program, filename: str, news: list[_New]) -> None:
                         message = f"{call.method}() takes {wanted} argument(s), got {given}"
                         raise SourceSyntaxError(message, filename, call.line, call.column)
                     continue
-                if call.method in program.module_methods:
+                if call.method in module_methods:
                     raise UnresolvedMethodError(
                         f"{filename}:{call.line}: module method {call.method!r} needs a receiver"
                     )
                 raise UnresolvedMethodError(
                     f"{filename}:{call.line}: no client method named {call.method!r}"
                 )
-            if call.method not in program.module_methods:
+            if call.method not in module_methods:
                 raise UnresolvedMethodError(
                     f"{filename}:{call.line}: no module declares method {call.method!r}"
                 )

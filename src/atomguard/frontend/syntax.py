@@ -163,16 +163,12 @@ Flow = tuple[Optional[str], Expr, int]
 
 
 class Program(Record):
-    # client_methods (name -> method) and module_methods (name -> module
-    # classes): the resolution indexes, filled by the parser
+    # client_methods: name -> method, the index the parser resolves calls by
     # calls: client method -> calls, in order
     # local_names: client method -> its formals and `var`-declared names
     # flows: client method -> its assignments, returns with a value, call
     # statements and call conditions, in statement order (outer first)
-    __slots__ = (
-        "classes", "source_name", "client_methods", "module_methods", "calls", "local_names",
-        "flows",
-    )
+    __slots__ = ("classes", "source_name", "client_methods", "calls", "local_names", "flows")
 
     @property
     def modules(self) -> list[ClassDecl]:

@@ -199,6 +199,9 @@ class ParseTree:
     covering none, all the symbols of its subtree; for a leaf, none.  The
     search drops a reduction whose head is among the ones its children pass
     up.  Trees compare by identity.
+    The search sets `_key` on each tree it returns and on their subtrees:
+    `("t", symbol)` for a leaf, `("n", production, elided_left,
+    elided_right, child keys)` for a node, its structural identity.
     """
 
     __slots__ = (
@@ -226,17 +229,6 @@ class ParseTree:
             f"production={self.production}, "
             f"elided={self.elided_left}/{self.elided_right}, {below})"
         )
-
-    @property
-    def key(self) -> tuple:
-        """Structural identity: `("t", symbol)` for a leaf, `("n",
-        production, elided_left, elided_right, child keys)` for a node,
-        whose production and elided_left fix each leaf child's call site.
-        Built on first read; most trees the search makes are never emitted,
-        so never keyed."""
-        if self._key is None:
-            _fill_keys(self, {})
-        return self._key
 
 
 def _fill_keys(tree: ParseTree, interned: dict[tuple, tuple]) -> None:

@@ -27,7 +27,7 @@ from contextvars import ContextVar
 from typing import Callable, Iterator, Optional
 
 from .errors import AtomguardError
-from .frontend.cfg import NodeKind, build_cfg
+from .frontend.cfg import build_cfg
 from .frontend.syntax import ClassDecl, MethodDecl, Program, expr_text
 from .pointsto import AllocationSite, PointsToResult
 from .records import HashableRecord, Record
@@ -168,7 +168,7 @@ def _lower(program: Program, method: MethodDecl) -> _Lowered:
         call = node.call
         succ = node.succ
         if call is None:
-            if node.kind is NodeKind.RETURN:
+            if not succ:  # a return
                 skips = (Production(sym, (), ()),)
             elif len(succ) == 1:
                 skips = (Production(sym, (syms[succ[0]],), (None,)),)

@@ -238,12 +238,11 @@ def grammar_stage(
     pointsto = compute_pointsto(program) if points_to else None
     with _shared_lowering():
         for mod in modules:
-            contract = parse_contract(mod.contract_text or "", {m.name for m in mod.methods})
-            if not contract.clauses:
+            clauses = parse_contract(mod.contract_text or "", {m.name for m in mod.methods})
+            if not clauses:
                 continue
             words = tuple(
-                (clause, tuple(expand_clause(clause, max_clause_len)))
-                for clause in contract.clauses
+                (clause, tuple(expand_clause(clause, max_clause_len))) for clause in clauses
             )
             for unit in units:
                 sites = [None]

@@ -6,25 +6,26 @@ expansion by direct enumeration, call traces by interpreting the statement
 tree, atomically-executed methods by a standalone fixpoint, bounded grammar
 languages by a fixpoint over word sets, and structural checks on parse
 trees.  It also keeps the original character-at-a-time tokenizer, the
-original parser with its statement-walking resolver, a recursive
-statement walk for control-flow graphs, the original per-grammar CFG walk, the original quadratic grammar simplification, the
+original parser, reading that tokenizer's tokens, with its statement-walking
+resolver, a recursive statement walk for control-flow graphs, the original
+per-grammar CFG walk, the original quadratic grammar simplification, the
 original three-walk points-to analysis, the original item-by-item LR(0)
 construction and the original subword search as the references the
-pipeline's versions must reproduce.
-That search also keeps the full-parse mode (trees carried up to the start
-symbol), which the checker does not ship.
+pipeline's versions must reproduce.  That search also keeps the full-parse
+mode (trees carried up to the start symbol), which the checker does not
+ship.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from atomguard import AtomguardError
 from atomguard.errors import DuplicateMethodError, SourceSyntaxError, UnresolvedMethodError
-from atomguard.frontend.cfg import NodeKind
-from atomguard.frontend.lexer import KEYWORDS, PUNCT, Token, tokenize
+from atomguard.frontend.lexer import KEYWORDS, PUNCT
 from atomguard.frontend.parser import MAX_NESTING, iter_method_statements, statement_call
 from atomguard.frontend.syntax import (
     Assign,
@@ -65,6 +66,15 @@ from atomguard.pointsto import RETURN_SLOT, AllocationSite, PointsToResult
 
 # ---------------------------------------------------------------------------
 # Tokenizing one character at a time
+
+
+class Token(NamedTuple):
+    """A token; equal to the scanner's `(kind, text, line, column)` tuple."""
+
+    kind: str  # "ident" | "int" | "string" | "kw" | "punct" | "eof"
+    text: str
+    line: int
+    column: int
 
 
 def reference_tokenize(source: str, filename: str = "<string>") -> list[Token]:
@@ -361,6 +371,14 @@ def reference_simplify_grammar(grammar: BehaviorGrammar) -> BehaviorGrammar:
 
 # ---------------------------------------------------------------------------
 # Control-flow graphs, by a recursive statement walk
+
+
+class NodeKind(enum.Enum):
+    ENTRY = "entry"
+    RETURN = "return"
+    MODULE_CALL = "module_call"
+    CLIENT_CALL = "client_call"
+    OTHER = "other"
 
 
 @dataclass
@@ -804,7 +822,7 @@ def bounded_traces(
     is rejected (callers must pass acyclic programs).
     """
     state = _TraceState(
-        module_methods=frozenset(program.module_methods),
+        module_methods=frozenset(m.name for c in program.modules for m in c.methods),
         methods=dict(program.client_methods),
         loop_bound=loop_bound,
     )
@@ -1103,10 +1121,10 @@ def reference_sites(tree: ReferenceTree) -> list[CallSite]:
 
 
 def reference_key(tree: ParseTree) -> tuple:
-    """`ParseTree.key` built from scratch, from the tree's fields alone:
-    `("t", symbol)` for a leaf, `("n", production, elided_left,
-    elided_right, child keys)` for a node.  Built without recursing, as
-    `sited_key` is."""
+    """The `_key` the search sets on a tree it returns, built from scratch,
+    from the tree's fields alone: `("t", symbol)` for a leaf, `("n",
+    production, elided_left, elided_right, child keys)` for a node.  Built
+    without recursing, as `sited_key` is."""
     order = []
     todo = [tree]
     while todo:
@@ -1146,11 +1164,12 @@ def reference_leaf_sites(tree: ParseTree, grammar: BehaviorGrammar) -> list[Call
 
 
 def sited_key(tree: ParseTree, grammar: BehaviorGrammar) -> tuple:
-    """The `ReferenceTree.key` of a search tree: its `key` with each leaf
-    keyed `("t", symbol, site node, site line)` by the call site at the
-    leaf's body position in its parent's production of `grammar`.  Built
-    without recursing, from a walk that visits right children first, so
-    that its reverse meets every node after its children, left to right."""
+    """The `ReferenceTree.key` of a search tree: its `reference_key` with
+    each leaf keyed `("t", symbol, site node, site line)` by the call site
+    at the leaf's body position in its parent's production of `grammar`.
+    Built without recursing, from a walk that visits right children first,
+    so that its reverse meets every node after its children, left to
+    right."""
     order = []  # (node, its call site)
     todo = [(tree, None)]
     while todo:
@@ -1528,7 +1547,7 @@ class _ReferenceParser:
         classes: list[ClassDecl] = []
         while not self.at("eof"):
             classes.append(self.class_decl())
-        return Program(classes, source_name, {}, {}, {}, {}, {})
+        return Program(classes, source_name, {}, {}, {}, {})
 
     def class_decl(self) -> ClassDecl:
         kw = self.expect("kw", "class")
@@ -1810,10 +1829,7 @@ def _reference_resolve(program: Program, filename: str) -> None:
                 )
             program.client_methods[m.name] = m
 
-    for c in program.modules:
-        for m in c.methods:
-            program.module_methods.setdefault(m.name, []).append(c.name)
-
+    module_methods = {m.name for c in program.modules for m in c.methods}
     class_names = {c.name for c in program.classes}
     for c in program.client_classes:
         for m in c.methods:
@@ -1867,14 +1883,14 @@ def _reference_resolve(program: Program, filename: str) -> None:
                             message = f"{call.method}() takes {wanted} argument(s), got {given}"
                             raise SourceSyntaxError(message, filename, call.line, call.column)
                         continue
-                    if call.method in program.module_methods:
+                    if call.method in module_methods:
                         raise UnresolvedMethodError(
                             f"{filename}:{call.line}: module method {call.method!r} needs a receiver"
                         )
                     raise UnresolvedMethodError(
                         f"{filename}:{call.line}: no client method named {call.method!r}"
                     )
-                if call.method not in program.module_methods:
+                if call.method not in module_methods:
                     raise UnresolvedMethodError(
                         f"{filename}:{call.line}: no module declares method {call.method!r}"
                     )
@@ -1887,8 +1903,8 @@ def _reference_line_of(stmt: Stmt) -> int:
 
 def reference_parse_program(text: str, filename: str = "<string>") -> Program:
     """`parse_program` as it was first written: `_ReferenceParser` over the
-    `Token` records of `tokenize`, then `_reference_resolve`."""
-    parser = _ReferenceParser(tokenize(text, filename), filename)
+    `Token`s of `reference_tokenize`, then `_reference_resolve`."""
+    parser = _ReferenceParser(reference_tokenize(text, filename), filename)
     program = parser.program(source_name=filename)
     _reference_resolve(program, filename)
     return program

@@ -117,10 +117,8 @@ def test_criterion_5_corpus_reproduced():
         bad = parse_program((CORPUS / f"{name}.bad.mg").read_text(), name)
         fixed = parse_program((CORPUS / f"{name}.fixed.mg").read_text(), name)
         module = bad.modules[0]
-        contract = parse_contract(
-            module.contract_text or "", {m.name for m in module.methods}
-        )
-        assert len(contract.clauses) == clauses, name
+        contract = parse_contract(module.contract_text or "", {m.name for m in module.methods})
+        assert len(contract) == clauses, name
         violations = verify(bad)
         assert len(violations) == count, name
         assert {v.lca_method for v in violations} == lcas, name
@@ -227,16 +225,14 @@ def test_criterion_7_trees_are_loop_pruned():
     checked = 0
     for prog, entry in zip(programs, entries):
         module = prog.modules[0]
-        contract = parse_contract(
-            module.contract_text or "", {m.name for m in module.methods}
-        )
+        contract = parse_contract(module.contract_text or "", {m.name for m in module.methods})
         roots = [entry] if entry else sorted(
             m.name for m in prog.client_methods.values() if m.is_thread
         )
         for root in roots:
             grammar = simplify_grammar(build_behavior_grammar(prog, root, module))
             table = build_parse_table(grammar)
-            for clause in contract.clauses:
+            for clause in contract:
                 for word in expand_clause(clause):
                     for tree in parse_subword_until_lca(table, word.methods):
                         assert_tree_pruned(tree)

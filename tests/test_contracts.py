@@ -22,13 +22,13 @@ VECTOR = frozenset({"contains", "indexOf", "remove", "set", "get", "size"})
 
 
 def words_of(text: str, methods=ALPHABET, max_len: int = 16) -> set[tuple[str, ...]]:
-    contract = parse_contract(f'"{text}"', methods)
-    return {w.methods for w in expand_clause(contract.clauses[0], max_len)}
+    (clause,) = parse_contract(f'"{text}"', methods)
+    return {w.methods for w in expand_clause(clause, max_len)}
 
 
 def atom_of(text: str) -> CallAtom:
     """The call pattern of a one-atom clause."""
-    (word,) = expand_clause(parse_contract(f'"{text}"', VECTOR).clauses[0])
+    (word,) = expand_clause(parse_contract(f'"{text}"', VECTOR)[0])
     (atom,) = word.atoms
     return atom
 
@@ -38,9 +38,9 @@ def atom_of(text: str) -> CallAtom:
 
 
 def test_plain_sequence():
-    contract = parse_contract('"contains indexOf"', VECTOR)
-    assert len(contract.clauses) == 1
-    words = expand_clause(contract.clauses[0])
+    clauses = parse_contract('"contains indexOf"', VECTOR)
+    assert len(clauses) == 1
+    words = expand_clause(clauses[0])
     assert len(words) == 1
     assert words[0].methods == ("contains", "indexOf")
     assert not words[0].is_parameterized
@@ -61,8 +61,8 @@ def test_adjacent_groups_multiply():
 
 
 def test_multiple_clauses():
-    contract = parse_contract('"a b"; "b a"', ALPHABET)
-    assert [c.text for c in contract.clauses] == ["a b", "b a"]
+    clauses = parse_contract('"a b"; "b a"', ALPHABET)
+    assert [c.text for c in clauses] == ["a b", "b a"]
 
 
 def test_nested_groups():
@@ -86,14 +86,14 @@ def test_unknown_method_is_rejected():
 
 
 def test_expansion_length_cap():
-    contract = parse_contract('"a b c"', ALPHABET)
+    (clause,) = parse_contract('"a b c"', ALPHABET)
     with pytest.raises(ClauseTooLongError):
-        expand_clause(contract.clauses[0], 2)
-    assert len(expand_clause(contract.clauses[0], 3)) == 1
+        expand_clause(clause, 2)
+    assert len(expand_clause(clause, 3)) == 1
 
 
 def clause_of(text: str):
-    return parse_contract(f'"{text}"', ALPHABET).clauses[0]
+    return parse_contract(f'"{text}"', ALPHABET)[0]
 
 
 def test_a_clause_is_measured_before_it_is_expanded():
@@ -168,8 +168,8 @@ def test_wildcard_result_atom():
 
 def test_parameterized_clause_expands_with_atoms():
     text = "contains(X) Y=indexOf(X) set(Y, _)"
-    contract = parse_contract(f'"{text}"', VECTOR)
-    words = expand_clause(contract.clauses[0])
+    (clause,) = parse_contract(f'"{text}"', VECTOR)
+    words = expand_clause(clause)
     assert len(words) == 1
     assert words[0].methods == ("contains", "indexOf", "set")
     assert words[0].is_parameterized

@@ -15,13 +15,14 @@ from atomguard.errors import (
     SourceSyntaxError,
     UnresolvedMethodError,
 )
-from atomguard.frontend.cfg import NodeKind, build_cfg
-from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan, tokenize
+from atomguard.frontend.cfg import build_cfg
+from atomguard.frontend.lexer import KEYWORDS, PUNCT, _scan, unfuse
 from atomguard.frontend.syntax import Block, If, Return, While
 from atomguard.verifier import compute_atomically_executed, find_thread_entries
 from conftest import CORPUS, PROGRAMS, deadline, load_program
 from generators import random_program
 from oracles import (
+    NodeKind,
     oracle_atomically_executed,
     reference_build_cfg,
     reference_parse_program,
@@ -44,7 +45,7 @@ def test_parse_minimal_program():
     assert [c.name for c in prog.modules] == ["M"]
     assert [c.name for c in prog.client_classes] == ["C"]
     assert prog.modules[0].contract_text == '"a b"'
-    assert sorted(prog.module_methods) == ["a", "b"]
+    assert [m.name for m in prog.modules[0].methods] == ["a", "b"]
     assert "main" in prog.client_methods
 
 
@@ -134,6 +135,12 @@ LEXEMES += [
 EDGE_CHARACTERS = ["²", "½", "é", "一", "٣", "\x0b", "\f", "$", '"', "//", "\r", "\t", "\n"]
 
 
+def scan_tokens(source: str, filename: str = "<string>") -> list[tuple]:
+    """The scanner's tokens, each fused call statement as the six it stands
+    for."""
+    return [u for t in _scan(source, filename) for u in (unfuse(t) if t[0] == "call" else (t,))]
+
+
 def lex_outcome(tokenizer, source: str):
     """The token list, or the error's message and position."""
     try:
@@ -145,7 +152,7 @@ def lex_outcome(tokenizer, source: str):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(LEXEMES + EDGE_CHARACTERS), max_size=40).map("".join))
 def test_tokenize_matches_reference_on_random_text(source):
-    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
+    assert lex_outcome(scan_tokens, source) == lex_outcome(reference_tokenize, source)
 
 
 def test_tokenize_matches_reference_on_bundled_and_generated_programs():
@@ -153,7 +160,7 @@ def test_tokenize_matches_reference_on_bundled_and_generated_programs():
     sources += [path.read_text() for path in sorted(CORPUS.glob("*.mg"))]
     sources += [random_program(random.Random(seed))[0] for seed in range(300)]
     for source in sources:
-        assert tokenize(source) == reference_tokenize(source)
+        assert scan_tokens(source) == reference_tokenize(source)
 
 
 @pytest.mark.parametrize(
@@ -178,21 +185,20 @@ def test_tokenize_is_linear_on_long_runs(source, outcome):
     # A pattern that backtracks over a run takes seconds or more here.
     with deadline(1.0):
         try:
-            result = [t.text for t in tokenize(source, "t.mg")]
+            result = [t[1] for t in scan_tokens(source, "t.mg")]
         except SourceSyntaxError as e:
             result = (str(e).split(": ", 1)[1], e.line, e.column)
     assert result == outcome
 
 
 def test_lexical_rules():
-    tokens = tokenize('xé _1 ٣٣ 1² "a // b" // c', "t.mg")
-    assert [(t.kind, t.text) for t in tokens] == [
+    tokens = scan_tokens('xé _1 ٣٣ 1² "a // b" // c', "t.mg")
+    assert [t[:2] for t in tokens] == [
         ("ident", "xé"), ("ident", "_1"), ("int", "٣٣"), ("int", "1²"), ("string", "a // b"),
         ("eof", ""),
     ]
-    # a call statement is one lexeme, and `tokenize` gives its six tokens
-    tokens = tokenize("  m.a(); x_1.b2();//c", "t.mg")
-    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+    # a call statement is one lexeme, and `unfuse` gives its six tokens
+    assert scan_tokens("  m.a(); x_1.b2();//c", "t.mg") == [
         ("ident", "m", 1, 3), ("punct", ".", 1, 4), ("ident", "a", 1, 5), ("punct", "(", 1, 6),
         ("punct", ")", 1, 7), ("punct", ";", 1, 8), ("ident", "x_1", 1, 10),
         ("punct", ".", 1, 13), ("ident", "b2", 1, 14), ("punct", "(", 1, 16),
@@ -207,8 +213,8 @@ def test_lexical_rules():
         ("ident", "m", 4, 3), ("punct", ".", 4, 4), ("kw", "if", 4, 5), ("punct", "(", 4, 7),
         ("punct", ")", 4, 8), ("punct", ";", 4, 9), ("eof", "", 4, 10),
     ]
-    assert lex_outcome(tokenize, "x\x0by")[0] == "t.mg:1:2: unexpected character '\\x0b'"
-    assert lex_outcome(tokenize, "x ½")[0] == "t.mg:1:3: unexpected character '½'"
+    assert lex_outcome(_scan, "x\x0by")[0] == "t.mg:1:2: unexpected character '\\x0b'"
+    assert lex_outcome(_scan, "x ½")[0] == "t.mg:1:3: unexpected character '½'"
     # a digit run lexes; `int()` rejects the superscript and the parser says so
     with pytest.raises(SourceSyntaxError, match="invalid integer literal"):
         parse_program(client("  thread void f() { x = 1²; }"), "t.mg")
@@ -292,7 +298,7 @@ def test_parse_matches_reference_on_one_token_mutations():
         starts = [0]
         for line in source.splitlines(keepends=True):
             starts.append(starts[-1] + len(line))
-        for tok in tokenize(source)[:-1]:
+        for tok in reference_tokenize(source)[:-1]:
             start = starts[tok.line - 1] + tok.column - 1
             end = start + len(tok.text) + 2 * (tok.kind == "string")
             before, after = source[:start], source[end:]
@@ -319,22 +325,20 @@ def test_call_statements_at_the_nesting_limit_parse_like_reference(depth):
 # control-flow graphs
 
 
+def calls_of(cfg) -> list:
+    """Each node's call as `(receiver, method)`, None for a node without one."""
+    return [(n.call.receiver, n.call.method) if n.call else None for n in cfg]
+
+
 def test_cfg_branch_shape():
     prog = load_program("recursive_pair.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    kinds = [n.kind for n in cfg]
-    assert kinds == [
-        NodeKind.ENTRY,
-        NodeKind.MODULE_CALL,
-        NodeKind.OTHER,
-        NodeKind.CLIENT_CALL,
-        NodeKind.MODULE_CALL,
-        NodeKind.RETURN,
-    ]
-    assert cfg[1].call.method == "a"
+    # entry, m.a(), the branch, g(), m.b(), return
+    assert calls_of(cfg) == [None, ("m", "a"), None, (None, "g"), ("m", "b"), None]
+    assert cfg[0].succ == [1] and cfg[1].succ == [2]
     assert set(cfg[2].succ) == {3, 4}, "branch must fork to both arms"
     assert cfg[3].succ == [4], "then-arm rejoins before the final call"
-    assert cfg[4].call.method == "b"
+    assert cfg[4].succ == [5] and cfg[5].succ == [], "the final call falls through to the return"
 
 
 def test_cfg_loop_shape():
@@ -342,48 +346,49 @@ def test_cfg_loop_shape():
     cfg = build_cfg(prog.client_methods["f"])
     assert len(cfg) == 8
     head = cfg[1]
-    assert head.kind is NodeKind.MODULE_CALL and head.call.method == "a"
+    assert (head.call.receiver, head.call.method) == ("m", "a")
     assert set(head.succ) == {2, 6}, "loop head exits to body and to the tail"
     assert cfg[5].succ == [1], "loop body wires back to the head"
-    assert cfg[6].call.method == "d"
-    assert cfg[7].kind is NodeKind.RETURN
+    assert cfg[6].call.method == "d" and cfg[6].succ == [7]
+    assert (cfg[7].call, cfg[7].succ) == (None, [])
 
 
 def test_cfg_empty_body():
     prog = parse_program(client("  thread void f() { }"), "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    assert [n.kind for n in cfg] == [NodeKind.ENTRY, NodeKind.RETURN]
-    assert cfg[0].succ == [1]
+    assert [(n.call, n.succ) for n in cfg] == [(None, [1]), (None, [])]
 
 
 def test_cfg_return_statement_has_no_successors():
     src = client("  thread void f() { m.a(); return; m.b(); }")
     prog = parse_program(src, "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    explicit = [n for n in cfg if n.kind is NodeKind.RETURN and n.stmt is not None]
-    assert len(explicit) == 1
-    assert explicit[0].succ == []
+    # entry, m.a(), return, m.b(), the return m.b() falls through to
+    assert calls_of(cfg) == [None, ("m", "a"), None, ("m", "b"), None]
+    assert [n.succ for n in cfg] == [[1], [2], [], [4], []]
 
 
 def test_cfg_result_variable_recorded():
     src = client("  thread void f() { var x = m.a(); }")
     prog = parse_program(src, "t.mg")
     cfg = build_cfg(prog.client_methods["f"])
-    call_node = next(n for n in cfg if n.kind is NodeKind.MODULE_CALL)
+    call_node = next(n for n in cfg if n.call is not None)
     assert call_node.result_var == "x"
 
 
 def assert_cfg_like_reference(method) -> int:
-    """`build_cfg` gives the reference's nodes, field by field; returns how
+    """`build_cfg` gives the reference's nodes, field by field, and a node
+    has no successors exactly where the reference has a return; returns how
     many nodes were compared."""
     got = build_cfg(method)
     want = reference_build_cfg(method)
     assert len(got) == len(want), method.name
     for g, w in zip(got, want):
-        assert (g.index, g.kind, g.line, g.succ, g.result_var) == (
-            w.index, w.kind, w.line, w.succ, w.result_var
-        ), (method.name, g.index)
-        assert g.call is w.call and g.stmt is w.stmt, (method.name, g.index)
+        assert (g.index, g.succ, g.result_var) == (w.index, w.succ, w.result_var), (
+            method.name, g.index
+        )
+        assert g.call is w.call, (method.name, g.index)
+        assert (not g.succ) == (w.kind is NodeKind.RETURN), (method.name, g.index)
     return len(got)
 
 
@@ -420,7 +425,7 @@ def test_cfg_matches_reference_on_generated_programs():
         text, _ = random_program(random.Random(seed))
         for method in parse_program(text, f"seed{seed}.mg").client_methods.values():
             assert_cfg_like_reference(method)
-            kinds |= {(type(n.stmt), n.kind) for n in build_cfg(method)}
+            kinds |= {(type(n.stmt), n.kind) for n in reference_build_cfg(method)}
     assert len(kinds) >= 8, "calls, plain statements, branches, loops and returns"
 
 
@@ -479,15 +484,20 @@ def _paths_seq(stmts, bound):
 
 def assert_cfg_covers_paths(method):
     cfg = build_cfg(method)
+    reference = reference_build_cfg(method)
+    assert len(cfg) == len(reference), method.name
+    # each statement's node, and the return a body falls through to, as the
+    # reference numbers them
+    node_of = {id(n.stmt): cfg[n.index] for n in reference if n.stmt is not None}
     implicit = next(
-        (n for n in cfg if n.kind is NodeKind.RETURN and n.stmt is None), None
+        (cfg[n.index] for n in reference if n.kind is NodeKind.RETURN and n.stmt is None), None
     )
     paths = _paths_seq(method.body.stmts, _LOOP_BOUND)
     assert paths
     for stmts, fell_through in paths:
         nodes = [cfg[0]]
         for s in stmts:
-            node = next((n for n in cfg if n.stmt is s), None)
+            node = node_of.get(id(s))
             assert node is not None, f"{method.name}: statement without a node"
             nodes.append(node)
         if fell_through:

@@ -16,6 +16,7 @@ from atomguard import parse_program, verify_with_stats
 from atomguard.glr import (
     ParseStats,
     ParseTable,
+    ParseTree,
     build_parse_table,
     dump_tree,
     parse_subword_until_lca,
@@ -398,6 +399,18 @@ def test_search_matches_reference_on_search_shapes(shape):
         assert_search_like_reference(table, word)
 
 
+def assert_keyed_like_reference(tree: ParseTree) -> None:
+    """The search's `_key` on the tree is its `reference_key`, and each
+    subtree's `_key` is the child key its parent's key holds for it."""
+    assert tree._key == reference_key(tree)
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node.children is not None:
+            assert all(k is ch._key for k, ch in zip(node._key[4], node.children, strict=True))
+            todo.extend(node.children)
+
+
 @pytest.mark.parametrize("flags", sorted(FLAGS))
 def test_every_found_tree_has_its_reference_key_and_sites(flags):
     # every tree the checks find, shared same-shape searches included (each
@@ -420,9 +433,9 @@ def test_every_found_tree_has_its_reference_key_and_sites(flags):
         for check in search_stage(simplify_stage(grammar_stage(program, **FLAGS[flags]))):
             grammar = check.task.grammar
             for _, _, trees in check.trees:
-                assert len({tree.key for tree in trees}) == len(trees)
+                assert len({tree._key for tree in trees}) == len(trees)
                 for tree in trees:
-                    assert tree.key == reference_key(tree)
+                    assert_keyed_like_reference(tree)
                     sites = tree_sites(tree, grammar)
                     assert sites == reference_leaf_sites(tree, grammar)
                     dumped = re.findall(r"\[(\S+):(\d+)\]$", dump_tree(tree, grammar), re.M)

@@ -39,6 +39,7 @@ from oracles import (
     find_nonterminal_bijection,
     parse_dump,
     reference_build,
+    reference_build_cfg,
     reference_simplify_grammar,
     rules_by_head,
 )
@@ -416,8 +417,10 @@ def assert_single_rule_heads_form_no_cycle(prog) -> tuple[int, int, int]:
     carrying a base grammar and of `while` nodes."""
     loops = 0
     for method in prog.client_methods.values():
-        for node in build_cfg(method):
-            if node.stmt.__class__ is While:
+        cfg = build_cfg(method)
+        for ref in reference_build_cfg(method):  # which node is a `while`
+            if ref.stmt.__class__ is While:
+                node = cfg[ref.index]
                 assert len(node.succ) == 2 and node.succ[0] != node.succ[1], (method.name, node)
                 loops += 1
     grammars: dict[int, BehaviorGrammar] = {}
@@ -682,7 +685,7 @@ def own_grammars(prog, options):
     on its own by the site's builder: what a restricted grammar must equal."""
     pointsto = compute_pointsto(prog) if options.get("points_to", True) else None
     for mod in prog.modules:
-        if not parse_contract(mod.contract_text or "", {m.name for m in mod.methods}).clauses:
+        if not parse_contract(mod.contract_text or "", {m.name for m in mod.methods}):
             continue
         for unit in _units(prog, options.get("class_scope", False)):
             sites = []

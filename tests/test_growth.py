@@ -21,9 +21,10 @@ from pathlib import Path
 import pytest
 
 from atomguard import parse_program
-from atomguard.frontend.lexer import _scan, tokenize
+from atomguard.frontend.lexer import _scan
 from atomguard.verifier import classify_stage, grammar_stage, search_stage, simplify_stage
 from oracles import reference_tokenize
+from test_frontend import scan_tokens
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import families  # noqa: E402
@@ -131,4 +132,4 @@ def test_scan_fuses_each_call_statement_line(family):
                 want.append((i, len(line) - len(line.lstrip(" \t")) + 1, receiver, method))
         got = [(t[2], t[3], t[1], t[4]) for t in _scan(text, "t.mg") if t[0] == "call"]
         assert got == want and len(want) >= 2
-        assert tokenize(text) == reference_tokenize(text)
+        assert scan_tokens(text) == reference_tokenize(text)

@@ -12,7 +12,6 @@ import atomguard
 
 from atomguard import parse_program
 from atomguard.frontend.cfg import CfgNode
-from atomguard.frontend.lexer import Token
 from atomguard.frontend.syntax import (
     Assign,
     Binary,
@@ -34,7 +33,7 @@ from atomguard.frontend.syntax import (
     Unary,
     While,
 )
-from atomguard.contracts import CallAtom, CallSequence, Clause, Contract, _Group, _Seq
+from atomguard.contracts import CallAtom, CallSequence, Clause, _Group, _Seq
 from atomguard.glr import ParseStats, ParseTable, ParseTree
 from atomguard.grammar import BehaviorGrammar, CallSite, Production, SiteDrop, _LoweredNode
 from atomguard.pointsto import AllocationSite, PointsToResult, compute_pointsto
@@ -72,9 +71,8 @@ RECORDS = [
     (Param, "name type_name", {"type_name": None}),
     (MethodDecl, "name params return_type body is_atomic is_thread class_name line", {}),
     (ClassDecl, "name methods contract_text line", {}),
-    (Program, "classes source_name client_methods module_methods calls local_names flows", {}),
-    (Token, "kind text line column", {}),
-    (CfgNode, "index kind line succ call result_var stmt", {}),
+    (Program, "classes source_name client_methods calls local_names flows", {}),
+    (CfgNode, "index succ call result_var", {}),
     (AllocationSite, "index class_name method file line", {}),
     (PointsToResult, "sites may _locals", {}),
     (CallAtom, "method result_var args", {"result_var": None, "args": None}),
@@ -82,7 +80,6 @@ RECORDS = [
     (_Seq, "items", {}),
     (CallSequence, "atoms", {}),
     (Clause, "text seq", {}),
-    (Contract, "clauses", {}),
     (CallSite, "node method file line args result", {}),
     (Production, "head body sites", {}),
     (BehaviorGrammar, "start terminals productions", {}),
@@ -98,10 +95,10 @@ RECORDS = [
     (_Unit, "label roots scope class_decl", {}),
 ]
 # Unfrozen records compare by value but are unhashable, as the README says of
-# `Token` and `Call`; frozen ones hash by their fields.
+# `Call`; frozen ones hash by their fields.
 UNHASHABLE = {
     Call, Block, If, While, Return, Assign, Increment, ExprStmt, MethodDecl,
-    ClassDecl, Program, Token, CfgNode, PointsToResult, ParseStats,
+    ClassDecl, Program, CfgNode, PointsToResult, ParseStats,
     RunStats, _LoweredNode, _Unit, ParseTable, Check,
 }
 
@@ -124,7 +121,7 @@ def all_records() -> set[type]:
 def test_every_record_is_pinned():
     pinned = {cls for cls, _, _ in RECORDS}
     assert sorted(c.__qualname__ for c in all_records() - pinned) == []
-    assert len(pinned) == len(RECORDS) == 41
+    assert len(pinned) == len(RECORDS) == 39
 
 
 def fields_of(cls, names):
@@ -280,8 +277,6 @@ def test_hash_of_the_call_records_used_as_keys():
     assert {CallAtom("a", "X", ("_",)), CallAtom("a", "X", ("_",))} == {CallAtom("a", "X", ("_",))}
     assert hash(AllocationSite(0, "M", "t", "f.mg", 2)) == hash(AllocationSite(0, "M", "t", "f.mg", 2))
     assert hash(Param("p", "M")) == hash(Param("p", "M"))
-    with pytest.raises(TypeError):
-        hash(Token("ident", "x", 1, 1))
     with pytest.raises(TypeError):
         hash(Call(None, "f", (), 1, 1))
 
